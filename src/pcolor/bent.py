@@ -66,44 +66,62 @@ class BooleanFunction:
         return f"BooleanFunction({''.join(map(str, self.tt.tolist()))})"
 
 
+def walsh_rows(signs):
+    """Walsh coefficients of every row of a (tables, 2^n) stack of +-1
+    signs: W[r, u] = sum_x signs[r, x] (-1)^{<u,x>}, by n butterfly steps."""
+    W = np.asarray(signs, dtype=np.int64)
+    rows, size = W.shape
+    half = 1
+    while half < size:
+        # Axis 2 splits each block of 2*half into its low and high half.
+        W = W.reshape(rows, -1, 2, half)
+        lo, hi = W[:, :, 0], W[:, :, 1]
+        W = np.stack((lo + hi, lo - hi), axis=2)
+        half *= 2
+    return W.reshape(rows, size)
+
+
+def autoconvolution_rows(signs):
+    """Sign autoconvolution of every row of a (tables, 2^n) stack:
+    c[r, y] = sum_x signs[r, x] signs[r, x + y], one pass per shift y."""
+    signs = np.asarray(signs, dtype=np.int64)
+    x = np.arange(signs.shape[1])
+    return np.stack([(signs * signs[:, x ^ y]).sum(axis=1) for y in x], axis=1)
+
+
+def bent_rows(signs):
+    """Exact bentness of every row of a (tables, 2^n) stack of +-1 signs.
+
+    Both characterizations run on every row and must agree: the sign
+    autoconvolution is 2^n at zero and zero elsewhere, and every Walsh
+    coefficient squares to 2^n.  (No Boolean function on an odd number of
+    variables satisfies either.)  Returns a boolean array, one per row.
+    """
+    size = np.shape(signs)[1]
+    conv = autoconvolution_rows(signs)
+    conv_ok = (conv[:, 0] == size) & ~conv[:, 1:].any(axis=1)
+    W = walsh_rows(signs)
+    walsh_ok = (W * W == size).all(axis=1)
+    if (conv_ok != walsh_ok).any():
+        raise RuntimeError("autoconvolution and Walsh checks disagree; "
+                           "this is a bug, not a property of the input")
+    return conv_ok
+
+
 def walsh_transform(b):
     """All Walsh coefficients W(u) = sum_x (-1)^{b(x) + <u,x>}."""
-    W = b.sign().copy()
-    half = 1
-    while half < W.size:
-        for start in range(0, W.size, 2 * half):
-            lo = W[start:start + half].copy()
-            hi = W[start + half:start + 2 * half].copy()
-            W[start:start + half] = lo + hi
-            W[start + half:start + 2 * half] = lo - hi
-        half *= 2
-    return W
+    return walsh_rows(b.sign()[None])[0]
 
 
 def sign_autoconvolution(b):
     """c(y) = sum_x (-1)^{b(x)} (-1)^{b(x + y)} over GF(2)^n."""
-    sigma = b.sign()
-    size = sigma.size
-    xor = np.bitwise_xor.outer(np.arange(size), np.arange(size))
-    return sigma[xor] @ sigma
+    return autoconvolution_rows(b.sign()[None])[0]
 
 
 def is_bent(b):
-    """Exact bentness test; both characterizations are run and compared.
-
-    The sign autoconvolution must be 2^n at zero and zero elsewhere; the
-    Walsh coefficients must all square to 2^n.  (No Boolean function on an
-    odd number of variables can satisfy either.)
-    """
-    size = 1 << b.n
-    conv = sign_autoconvolution(b)
-    conv_ok = conv[0] == size and not conv[1:].any()
-    W = walsh_transform(b)
-    walsh_ok = bool((W * W == size).all())
-    if conv_ok != walsh_ok:
-        raise RuntimeError("autoconvolution and Walsh checks disagree; "
-                           "this is a bug, not a property of the input")
-    return conv_ok
+    """Exact bentness test; both characterizations are run and compared
+    (see bent_rows)."""
+    return bool(bent_rows(b.sign()[None])[0])
 
 
 def _heavy_weight(n):

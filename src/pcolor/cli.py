@@ -508,11 +508,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        _emit({"ok": False, "error": str(exc)})
-        return 2
-    except OSError as exc:
-        _emit({"ok": False, "error": str(exc)})
+    except (ValueError, OSError, MemoryError) as exc:
+        # An input too large to hold is an input error, not a failed property.
+        _emit({"ok": False, "error": str(exc) or type(exc).__name__})
         return 2
 
 

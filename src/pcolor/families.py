@@ -373,10 +373,10 @@ class AbelianGroup:
         """Normalize an iterable of elements to in-group tuples."""
         out = []
         for e in elems:
-            e = tuple(int(x) % m for x, m in zip(e, self.orders))
+            e = tuple(e)
             if len(e) != len(self.orders):
                 raise ValueError("element arity does not match the group")
-            out.append(e)
+            out.append(tuple(int(x) % m for x, m in zip(e, self.orders)))
         return out
 
     def __repr__(self):

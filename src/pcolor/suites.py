@@ -3,21 +3,17 @@
 Each suite re-derives one headline equivalence from scratch, comparing
 library results against independent brute-force computations, and
 returns a SuiteResult(name, ok, detail, seconds).  Randomized sweeps
-take an explicit seed (default 0).  The environment variable
-PCOLOR_THREADS caps process parallelism for the bent census; results
-are deterministic regardless of worker count.
+take an explicit seed (default 0).
 """
 
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bent import (BooleanFunction, bent_to_grassmann_coloring,
+from .bent import (BooleanFunction, bent_rows, bent_to_grassmann_coloring,
                    grassmann_coloring_to_bent, is_bent,
                    merged_two_coloring_matrix, theorem_avg_matrix)
 from .designs import (SubspaceDesign, design_quotient_report, design_to_coloring,
@@ -51,12 +47,9 @@ class SuiteResult:
 
 
 def worker_count():
-    """Process parallelism: min(cpu count, PCOLOR_THREADS if set)."""
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("PCOLOR_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return workers
+    """Processes the bent census runs in: always 1, since the census is
+    one batched pass in this process."""
+    return 1
 
 
 # ----------------------------------------------------------- fixtures
@@ -154,46 +147,33 @@ def maiorana_mcfarland(n):
     return BooleanFunction(tt)
 
 
-def _census_chunk(args):
-    """Count bent truth tables in [start, stop) and collect the heavy
-    b(0) = 1 ones; codes encode tables little-endian (bit x = b(x))."""
-    n, start, stop, heavy_weight = args
-    size = 1 << n
-    bent = 0
-    heavy = []
-    for code in range(start, stop):
-        b = BooleanFunction([(code >> x) & 1 for x in range(size)])
-        if is_bent(b):
-            bent += 1
-            if b.tt[0] == 1 and b.weight() == heavy_weight:
-                heavy.append(code)
-    return bent, heavy
+# Truth tables per batched bentness pass: the census's working set stays
+# a few MB however many tables it scans.
+_CENSUS_BLOCK = 4096
 
 
-def bent_census(n, workers=None):
+def bent_census(n):
     """Exhaustive bent census over all 2^(2^n) truth tables.
 
-    Returns (bent_count, heavy_codes) where heavy_codes lists the bent
-    functions with b(0) = 1 on the heavy branch, as truth-table codes.
-    Only feasible for n = 4 (65536 tables); parallelized over processes.
+    Returns (bent_count, heavy_codes) where heavy_codes lists, ascending,
+    the bent functions with b(0) = 1 on the heavy branch, as truth-table
+    codes (bit x of a code is b(x)).  Codes are scanned in ascending
+    blocks of _CENSUS_BLOCK, each checked by one bent_rows pass.  Only
+    feasible up to n = 4 (65536 tables).
     """
-    total = 1 << (1 << n)
+    size = 1 << n
+    total = 1 << size
     heavy_weight = (1 << (n - 1)) + (1 << (n // 2 - 1))
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1:
-        bent, heavy = _census_chunk((n, 0, total, heavy_weight))
-        return bent, sorted(heavy)
-    step = (total + 4 * workers - 1) // (4 * workers)
-    chunks = [(n, lo, min(lo + step, total), heavy_weight)
-              for lo in range(0, total, step)]
+    bits = np.arange(size)
     bent = 0
     heavy = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for count, codes in pool.map(_census_chunk, chunks):
-            bent += count
-            heavy.extend(codes)
-    return bent, sorted(heavy)
+    for start in range(0, total, _CENSUS_BLOCK):
+        codes = np.arange(start, min(start + _CENSUS_BLOCK, total), dtype=np.int64)
+        tt = (codes[:, None] >> bits) & 1
+        ok = bent_rows(1 - 2 * tt)
+        bent += int(ok.sum())
+        heavy.extend(codes[ok & (tt[:, 0] == 1) & (tt.sum(axis=1) == heavy_weight)].tolist())
+    return bent, heavy
 
 
 def _bent_from_code(code, n):

@@ -27,7 +27,30 @@ from pcolor import (
     verify_quotient,
     walsh_transform,
 )
-from pcolor.suites import maiorana_mcfarland
+from pcolor import bent
+from pcolor.bent import autoconvolution_rows, bent_rows, walsh_rows
+from pcolor.suites import bent_census, maiorana_mcfarland
+
+
+def parity_signs(n):
+    """(-1)^{<u,x>} as an explicit 2^n x 2^n matrix, rows u, columns x."""
+    x = np.arange(1 << n)
+    return np.array([[(-1) ** bin(u & v).count("1") for v in x] for u in x])
+
+
+def walsh_by_definition(signs, n):
+    """W[r, u] = sum_x (-1)^{b_r(x) + <u,x>}, from the parity matrix."""
+    return np.asarray(signs) @ parity_signs(n).T
+
+
+def autoconvolution_by_definition(signs):
+    """c[r, y] = sum_x s_r(x) s_r(x + y), as a plain double sum."""
+    return np.array([[sum(s[x] * s[x ^ y] for x in range(len(s))) for y in range(len(s))]
+                     for s in np.asarray(signs).tolist()])
+
+
+def truth_table(code, n):
+    return [(code >> x) & 1 for x in range(1 << n)]
 
 
 def test_boolean_function_basics():
@@ -78,6 +101,61 @@ def test_bent_count_n2():
     count = sum(is_bent(BooleanFunction([int(bit) for bit in f"{x:04b}"]))
                 for x in range(16))
     assert count == 8
+    # the census agrees with bentness by definition, code by code
+    signs = 1 - 2 * np.array([truth_table(code, 2) for code in range(16)])
+    bent_codes = [code for code, W in enumerate(walsh_by_definition(signs, 2))
+                  if (W * W == 4).all()]
+    heavy = [code for code in bent_codes
+             if truth_table(code, 2)[0] == 1 and sum(truth_table(code, 2)) == 3]
+    assert len(bent_codes) == 8 and heavy == [7, 11, 13]
+    assert bent_census(2) == (8, heavy)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_batched_kernel_matches_definitions(n):
+    rng = np.random.default_rng(n)
+    tables = rng.integers(0, 2, size=(5, 1 << n))
+    tables = np.vstack([tables, maiorana_mcfarland(n).tt, 1 - maiorana_mcfarland(n).tt])
+    signs = 1 - 2 * tables
+    W = walsh_by_definition(signs, n)
+    conv = autoconvolution_by_definition(signs)
+    assert (walsh_rows(signs) == W).all()
+    assert (autoconvolution_rows(signs) == conv).all()
+    verdicts = bent_rows(signs)
+    assert verdicts.tolist() == (W * W == 1 << n).all(axis=1).tolist()
+    assert verdicts[-2:].all()
+    for row, table in enumerate(tables):
+        b = BooleanFunction(table)
+        assert (walsh_transform(b) == W[row]).all()
+        assert (sign_autoconvolution(b) == conv[row]).all()
+        assert is_bent(b) == verdicts[row]
+
+
+def test_bent_census_n4_matches_float_walsh_product():
+    codes = np.arange(1 << 16)
+    tt = (codes[:, None] >> np.arange(16)) & 1
+    W = (1 - 2 * tt).astype(np.float64) @ parity_signs(4).T.astype(np.float64)
+    bent_mask = (W * W == 16).all(axis=1)
+    heavy_mask = bent_mask & (tt[:, 0] == 1) & (tt.sum(axis=1) == 10)
+    count, heavy = bent_census(4)
+    assert count == int(bent_mask.sum()) == 896
+    assert heavy == codes[heavy_mask].tolist()
+    assert len(heavy) == 280
+
+
+def test_bent_census_raises_when_routes_disagree(monkeypatch):
+    """One row whose Walsh verdict is wrong is enough to stop the census."""
+    honest = bent.walsh_rows
+
+    def one_row_wrong(signs):
+        W = honest(signs)
+        # b = 1 everywhere, the last table scanned, gets a flat spectrum.
+        W[(np.asarray(signs) == -1).all(axis=1)] = 4
+        return W
+
+    monkeypatch.setattr(bent, "walsh_rows", one_row_wrong)
+    with pytest.raises(RuntimeError, match="disagree"):
+        bent_census(4)
 
 
 def test_maiorana_mcfarland_is_heavy_bent():

@@ -88,6 +88,16 @@ def test_build_unknown_family(workdir):
     run_cli("build", "moebius", "--out", "x.json", cwd=workdir, expect=2)
 
 
+def test_build_cayley_rejects_wrong_arity(workdir):
+    doc = run_json("build", "cayley", "--orders", 5, "--set", "[1, 4]",
+                   "--out", "c5.json", cwd=workdir, expect=0)
+    assert doc["n"] == 5
+    doc = run_json("build", "cayley", "--orders", 5, "--set", "[[1,7,7],[4,0,0]]",
+                   "--out", "bad.json", cwd=workdir, expect=2)
+    assert not doc["ok"] and "arity" in doc["error"]
+    assert not (workdir / "bad.json").exists()
+
+
 def test_build_m12_line_graph_chain(workdir):
     run_cli("build", "design-hypergraph", "--n", 7, "--k", 3, "--t", 2,
             "--out", "dh.json", cwd=workdir, expect=0)
@@ -197,6 +207,13 @@ def test_verify_srg(workdir):
     doc = run_json("verify", "srg", "--graph", "t5.json", cwd=workdir,
                    expect=0)
     assert doc["params"] == [10, 6, 3, 4]
+
+
+def test_verify_srg_oversized_graph_is_input_error(workdir):
+    # numpy refuses the 728 TiB adjacency matrix at once: nothing is allocated.
+    (workdir / "huge.json").write_text('{"type":"multigraph","n":10000000,"nnz":[]}')
+    doc = run_json("verify", "srg", "--graph", "huge.json", cwd=workdir, expect=2)
+    assert not doc["ok"] and "allocate" in doc["error"]
 
 
 def test_verify_transversal(workdir):

@@ -19,7 +19,7 @@ from .bent import (BooleanFunction, bent_to_difference_set,
                    is_bent, sign_autoconvolution)
 from .designs import (BlockDesign, HadamardMatrix, SubspaceDesign,
                       design_to_coloring, design_violation, hadamard_to_design,
-                      subspace_design_violation, verify_hadamard)
+                      hadamard_violation, subspace_design_violation)
 from .difference_sets import (NotPDS, difference_set_to_symmetric_design,
                               pds_delta_coloring, pds_params_from_set,
                               PDSParams, srg_gamma_coloring, verify_pds,
@@ -28,9 +28,10 @@ from .families import (AbelianGroup, cayley, delta_hypergraph, grassmann,
                        design_hypergraph, johnson, subspace_design_hypergraph,
                        triangle_hypergraph, vec_to_int)
 from .hypergraphs import (Hypergraph, hypergraph_is_perfect,
-                          incidence_bipartite, line_multigraph, m12)
+                          incidence_bipartite, line_multigraph, m12,
+                          transversal_violation)
 from .multigraph import Coloring, Multigraph, merge_colors, quotient_matrix
-from .spectral import check_dh_extremal, dh_bound
+from .spectral import OverFullVertex, check_dh_extremal
 from .suites import SUITES, run, run_all
 
 
@@ -240,12 +241,11 @@ def _verify_transversal(args):
         raise InputError("vertex set and hypergraph sizes differ")
     if args.l is None or args.l < 0:
         raise InputError("transversal verification requires --l >= 0")
-    members = set(A)
-    for e in H.edges:
-        hit = sum(v in members for v in e)
-        if hit != args.l:
-            return False, {"witness": {"edge": list(e), "meets": hit,
-                                       "expected": args.l}}
+    violation = transversal_violation(H, A, args.l)
+    if violation is not None:
+        edge, meets = violation
+        return False, {"witness": {"edge": list(edge), "meets": meets,
+                                   "expected": args.l}}
     return True, {"l": args.l, "set_size": len(A), "edges": len(H.edges)}
 
 
@@ -294,17 +294,12 @@ def _verify_bent(args):
 
 def _verify_hadamard(args):
     H = _load_as(args.hadamard, HadamardMatrix, "hadamard")
-    if not verify_hadamard(H):
-        gram = H.mat @ H.mat.T
-        n = H.mat.shape[0]
-        for i in range(n):
-            for j in range(n):
-                want = n if i == j else 0
-                if gram[i, j] != want:
-                    return False, {"witness": {"rows": [i, j],
-                                               "dot": int(gram[i, j]),
-                                               "expected": want}}
-    return True, {"order": H.mat.shape[0]}
+    violation = hadamard_violation(H)
+    if violation is not None:
+        i, j, dot = violation
+        return False, {"witness": {"rows": [i, j], "dot": dot,
+                                   "expected": H.order if i == j else 0}}
+    return True, {"order": H.order}
 
 
 def _verify_dh(args):
@@ -315,17 +310,13 @@ def _verify_dh(args):
     if args.t is None:
         raise InputError("dh verification requires --t")
     try:
-        dh_bound(G, args.t)       # validates regularity and 0 <= t < r
-    except ValueError as exc:
+        rep = check_dh_extremal(G, A, args.t)
+    except OverFullVertex as exc:
+        return False, {"witness": {"vertex": exc.vertex,
+                                   "inner_degree": exc.inner_degree,
+                                   "max_allowed": exc.t}}
+    except ValueError as exc:     # irregular graph, t out of range, empty set
         raise InputError(str(exc)) from exc
-    members = list(A)
-    inner = G.adj[np.ix_(members, members)].sum(axis=1) if members else np.array([])
-    for idx, deg in zip(members, inner):
-        if deg > args.t:
-            return False, {"witness": {"vertex": int(idx),
-                                       "inner_degree": int(deg),
-                                       "max_allowed": args.t}}
-    rep = check_dh_extremal(G, members, args.t)
     report = {"r": rep.r, "theta_min": rep.theta_min, "t": rep.t,
               "bound": rep.bound, "bound_float": float(rep.bound),
               "set_size": rep.set_size, "extremal": rep.extremal}

@@ -24,9 +24,9 @@ from math import comb
 
 import numpy as np
 
-from .families import (Subspace, enumerate_subspaces, gaussian_binomial,
-                       johnson_design_multigraph, ksubsets,
-                       subspace_design_hypergraph)
+from .families import (Subspace, containment, enumerate_subspaces,
+                       gaussian_binomial, johnson_design_multigraph, ksubsets,
+                       point_incidence, subspace_design_hypergraph)
 from .hypergraphs import incidence_bipartite, m12
 from .multigraph import Coloring, QuotientMatrix
 from .spectral import check_dh_extremal
@@ -92,11 +92,12 @@ def subspace_design_violation(D):
 
     Returns (subspace, count) in canonical enumeration order.
     """
-    for T in enumerate_subspaces(D.n, D.t, D.q):
-        count = sum(U.contains(T) for U in D.subspaces)
-        if count != D.lam:
-            return T, count
-    return None
+    tspaces = enumerate_subspaces(D.n, D.t, D.q)
+    counts = containment(point_incidence(tspaces, D.n, D.q),
+                         point_incidence(D.subspaces, D.n, D.q),
+                         gaussian_binomial(D.t, 1, D.q)).sum(axis=1)
+    bad = np.flatnonzero(counts != D.lam)
+    return (tspaces[bad[0]], int(counts[bad[0]])) if bad.size else None
 
 
 def verify_subspace_design(D):
@@ -253,10 +254,24 @@ class HadamardMatrix:
         return f"HadamardMatrix(order={self.order})"
 
 
+def hadamard_violation(H):
+    """First entry of H H^T that differs from n I, or None.
+
+    Returns (i, j, dot) for the first offending row pair in row-major
+    order (exact integer arithmetic).
+    """
+    n = H.order
+    gram = H.mat @ H.mat.T
+    bad = np.argwhere(gram != n * np.eye(n, dtype=np.int64))
+    if not bad.size:
+        return None
+    i, j = (int(x) for x in bad[0])
+    return i, j, int(gram[i, j])
+
+
 def verify_hadamard(H):
     """True iff H H^T = n I (exact integer arithmetic)."""
-    n = H.order
-    return bool(np.array_equal(H.mat @ H.mat.T, n * np.eye(n, dtype=np.int64)))
+    return hadamard_violation(H) is None
 
 
 def sylvester(order):

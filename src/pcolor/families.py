@@ -10,6 +10,11 @@ be exchanged as plain integer arrays:
   the zero-sum triple hypergraph on nonzero vectors indexes vertex i as
   the vector i+1;
 * abelian group elements: lexicographic tuples over the cyclic factors.
+
+k-subsets and their q-analogs, k-subspaces, share one construction: the
+0/1 matrix P of objects x points from point_incidence, whose P P^T
+counts common points.  Adjacency, design multiplicities and containment
+are all read off these intersection sizes.
 """
 
 import itertools
@@ -54,15 +59,8 @@ def johnson(n, k):
     """Johnson graph: k-subsets adjacent when they share k-1 elements."""
     if not 0 < k <= n:
         raise ValueError("johnson requires 0 < k <= n")
-    verts = ksubsets(n, k)
-    masks = [sum(1 << v for v in u) for u in verts]
-    m = len(verts)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (masks[i] & masks[j]).bit_count() == k - 1:
-                adj[i, j] = adj[j, i] = 1
-    return Multigraph(adj)
+    P = point_incidence(ksubsets(n, k), n)
+    return Multigraph((P @ P.T == k - 1).astype(np.int64))
 
 
 def petersen():
@@ -79,13 +77,9 @@ def design_hypergraph(n, k, t):
     if not 0 < t < k < n:
         raise ValueError("design hypergraph requires 0 < t < k < n")
     verts = ksubsets(n, k)
-    index = {u: i for i, u in enumerate(verts)}
-    edges = []
-    for T in itertools.combinations(range(n), t):
-        rest = [v for v in range(n) if v not in T]
-        edges.append(sorted(index[tuple(sorted(T + extra))]
-                            for extra in itertools.combinations(rest, k - t)))
-    return Hypergraph(len(verts), edges)
+    inside = containment(point_incidence(ksubsets(n, t), n),
+                         point_incidence(verts, n), t)
+    return Hypergraph(len(verts), [np.flatnonzero(row) for row in inside])
 
 
 def johnson_design_multigraph(n, k, t):
@@ -96,15 +90,11 @@ def johnson_design_multigraph(n, k, t):
     """
     if not 0 < t < k < n:
         raise ValueError("requires 0 < t < k < n")
-    verts = ksubsets(n, k)
-    masks = [sum(1 << v for v in u) for u in verts]
-    m = len(verts)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = (masks[i] & masks[j]).bit_count()
-            if s >= t:
-                adj[i, j] = adj[j, i] = comb(s, t)
+    # The m x m intersection sizes are at most k: hold them in the
+    # narrowest dtype that holds k.
+    P = point_incidence(ksubsets(n, k), n).astype(np.min_scalar_type(k))
+    adj = np.array([comb(s, t) for s in range(k + 1)], dtype=np.int64)[P @ P.T]
+    np.fill_diagonal(adj, 0)
     return Multigraph(adj)
 
 
@@ -234,43 +224,15 @@ def enumerate_subspaces(n, k, q):
     return subspaces
 
 
-def _projective_incidence(subspaces, q):
-    """0/1 matrix: subspaces x projective points they contain.
-
-    Points are nonzero vectors normalized so the first nonzero coordinate
-    is 1; two subspaces meeting in dimension d share [d 1]_q points.
-    """
-    norm_index = {}
-    rows = []
-    for s in subspaces:
-        row = set()
-        for v in s.vectors():
-            if not any(v):
-                continue
-            lead = next(x for x in v if x)
-            inv = pow(int(lead), q - 2, q)
-            norm = tuple((x * inv) % q for x in v)
-            if norm not in norm_index:
-                norm_index[norm] = len(norm_index)
-            row.add(norm_index[norm])
-        rows.append(row)
-    M = np.zeros((len(subspaces), len(norm_index)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        M[i, sorted(row)] = 1
-    return M
-
-
 def grassmann(n, k, q):
     """Grassmann graph: k-subspaces adjacent when meeting in dimension k-1."""
     subspaces = enumerate_subspaces(n, k, q)
     if k == 0 or k == n:
         return Multigraph(np.zeros((1, 1), dtype=np.int64))
-    M = _projective_incidence(subspaces, q)
-    common = M @ M.T
-    target = gaussian_binomial(k - 1, 1, q)    # projective points of a (k-1)-space
-    adj = (common == target).astype(np.int64)
-    np.fill_diagonal(adj, 0)
-    return Multigraph(adj)
+    P = point_incidence(subspaces, n, q)
+    # a (k-1)-dimensional meet has [k-1 1]_q projective points, and the
+    # diagonal holds [k 1]_q, so there are no loops
+    return Multigraph((P @ P.T == gaussian_binomial(k - 1, 1, q)).astype(np.int64))
 
 
 def subspace_design_hypergraph(n, k, t, q):
@@ -282,11 +244,46 @@ def subspace_design_hypergraph(n, k, t, q):
     if not 0 < t < k < n:
         raise ValueError("requires 0 < t < k < n")
     verts = enumerate_subspaces(n, k, q)
-    edges = []
-    for T in enumerate_subspaces(n, t, q):
-        edge = [i for i, U in enumerate(verts) if U.contains(T)]
-        edges.append(edge)
-    return Hypergraph(len(verts), edges)
+    inside = containment(point_incidence(enumerate_subspaces(n, t, q), n, q),
+                         point_incidence(verts, n, q), gaussian_binomial(t, 1, q))
+    return Hypergraph(len(verts), [np.flatnonzero(row) for row in inside])
+
+
+# ------------------------------------------------------ point incidence
+
+def point_incidence(objects, n, q=None):
+    """0/1 matrix of objects x points, so P @ P.T counts common points.
+
+    The objects share one k.  A k-subset of {0..n-1} (q None) has its
+    members as points.  A k-subspace of GF(q)^n has [k 1]_q of the [n 1]_q
+    projective points: c B for its RREF basis B and each c whose first
+    nonzero entry is 1, which makes the leading coordinate 1 as well.  A
+    point with m coordinates after its leading 1 is column [m 1]_q plus
+    those coordinates read base q.
+    """
+    width = n if q is None else gaussian_binomial(n, 1, q)
+    P = np.zeros((len(objects), width), dtype=np.int64)
+    if not objects:
+        return P
+    if q is None:
+        cols = np.array(objects, dtype=np.int64)
+    else:
+        k = objects[0].k
+        coeffs = [c for c in itertools.product(range(q), repeat=k)
+                  if any(c) and next(x for x in c if x) == 1]
+        coeffs = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k)
+        points = coeffs @ np.stack([s.basis for s in objects]) % q   # objects x [k 1]_q x n
+        after = q ** (n - 1 - (points != 0).argmax(axis=-1))         # q^m
+        cols = points @ q ** np.arange(n - 1, -1, -1) - after + (after - 1) // (q - 1)
+    P[np.arange(len(objects))[:, None], cols] = 1
+    return P
+
+
+def containment(small, big, size):
+    """Boolean small x big matrix from point incidences: row i marks the
+    objects of `big` that contain object i of `small`, which has `size`
+    points."""
+    return small @ big.T == size
 
 
 # ------------------------------------------------ triple hypergraphs

@@ -226,12 +226,24 @@ def restrict_bipartite_coloring(B, f):
     return restricted, product
 
 
-def verify_transversal(H, A, l):
-    """True iff every hyperedge meets A in exactly l vertices."""
+def transversal_violation(H, A, l):
+    """First hyperedge meeting A in other than l vertices, or None.
+
+    Returns (edge, meets) for the first such hyperedge in edge order.
+    """
     A = set(int(v) for v in A)
     if not A <= set(range(H.n)):
         raise ValueError("A must be a set of vertices")
-    return all(sum(v in A for v in e) == l for e in H.edges)
+    for e in H.edges:
+        meets = sum(v in A for v in e)
+        if meets != l:
+            return e, meets
+    return None
+
+
+def verify_transversal(H, A, l):
+    """True iff every hyperedge meets A in exactly l vertices."""
+    return transversal_violation(H, A, l) is None
 
 
 def transversal_quotient(k, r, l):

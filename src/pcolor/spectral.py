@@ -78,6 +78,16 @@ def dh_bound(G, t):
     return _ratio_bound(G.n, r, t, min_eigenvalue(G))
 
 
+class OverFullVertex(ValueError):
+    """A member of A with more than t neighbors inside A."""
+
+    def __init__(self, vertex, inner_degree, t):
+        super().__init__(f"vertex {vertex} has {inner_degree} neighbors in A, more than t={t}")
+        self.vertex = vertex
+        self.inner_degree = inner_degree
+        self.t = t
+
+
 @dataclass
 class DHReport:
     """Result of checking a vertex set against the ratio bound."""
@@ -98,7 +108,8 @@ def check_dh_extremal(G, A, t):
     """Check a sparse set against the ratio bound; verify the quotient if tight.
 
     Every vertex of A must have at most t neighbors inside A, counted with
-    multiplicity and including loops at members of A (error otherwise).
+    multiplicity and including loops at members of A; otherwise
+    OverFullVertex (a ValueError) names the smallest member over the cap.
     When |A| matches the bound (exactly if theta snapped, else within 1e-6)
     the indicator coloring with color 0 = A is verified against
     [[t, r-t], [t-theta, r-t+theta]].
@@ -112,7 +123,7 @@ def check_dh_extremal(G, A, t):
     inner = G.adj[np.ix_(A, A)].sum(axis=1)
     bad = np.flatnonzero(inner > t)
     if bad.size:
-        raise ValueError(f"vertex {A[bad[0]]} has {int(inner[bad[0]])} neighbors in A, more than t={t}")
+        raise OverFullVertex(A[bad[0]], int(inner[bad[0]]), t)
     theta = min_eigenvalue(G)
     bound = _ratio_bound(G.n, r, t, theta)
     size = len(A)

@@ -1,4 +1,4 @@
-"""Reproducibility suites AC1..AC12.
+"""Reproducibility suites AC1..AC13.
 
 Each suite re-derives one headline equivalence from scratch, comparing
 library results against independent brute-force computations, and
@@ -452,10 +452,48 @@ def suite_ac12(seed=0):
     return True, "merged [[9,9],[12,6]] for all 280 n=4 colorings; [[45,45],[48,42]] at n=6"
 
 
+def _equal_cliques(G):
+    """True iff G is a disjoint union of copies of one complete graph:
+    with M = A + I, M M = s M says every closed neighborhood has s
+    members and any two are equal or disjoint."""
+    M = G.adj + np.eye(G.n, dtype=np.int64)
+    return np.array_equal(M @ M, int(M[0].sum()) * M)
+
+
+def suite_ac13(seed=0):
+    """The corrected form of AC11's equivalence, exhaustive on 3..6 points:
+    the pair coloring is perfect on the triangle hypergraph iff the graph
+    is strongly regular, the star K_{1,n-1}, K_{n-1} + K_1, or two or
+    more disjoint equal cliques (complete and edgeless graphs excluded, so
+    a union of equal cliques has at least two)."""
+    checked = 0
+    perfect = [0] * 7
+    for n in range(3, 7):
+        gamma = triangle_hypergraph(n)
+        star_or_co_star = ([1] * (n - 1) + [n - 1], [0] + [n - 2] * (n - 1))
+        for G in graphs_on(n):
+            degrees = G.degrees()
+            if degrees.sum() in (0, n * (n - 1)):
+                continue            # edgeless / complete: excluded by convention
+            # SRGs and equal cliques are regular; a star and its complement are not.
+            if (degrees == degrees[0]).all():
+                claimed = bool(verify_srg(G)) or _equal_cliques(G)
+            else:
+                claimed = sorted(degrees.tolist()) in star_or_co_star
+            found = bool(hypergraph_is_perfect(gamma, srg_gamma_coloring(G)))
+            if found != claimed:
+                return False, f"n={n} graph {G.adj.tolist()}: perfect={found}, statement says {claimed}"
+            checked += 1
+            perfect[n] += found
+    return True, (f"{checked} non-degenerate graphs on 3..6 points agree; "
+                  f"perfect ones for n = 3..6: {perfect[3:]}")
+
+
 SUITES = {
     "AC1": suite_ac1, "AC2": suite_ac2, "AC3": suite_ac3, "AC4": suite_ac4,
     "AC5": suite_ac5, "AC6": suite_ac6, "AC7": suite_ac7, "AC8": suite_ac8,
     "AC9": suite_ac9, "AC10": suite_ac10, "AC11": suite_ac11, "AC12": suite_ac12,
+    "AC13": suite_ac13,
 }
 
 

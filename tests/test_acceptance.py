@@ -106,3 +106,11 @@ def test_ac12_merged_colorings():
     """Merging the 4-coloring classes {0,2} and {1,3} verifies the fixed
     2x2 matrices for n = 4 (every census coloring) and n = 6."""
     run_suite("AC12", 60)
+
+
+def test_ac13_pair_coloring_characterization():
+    """The corrected statement beside AC11, exhaustive on 3..6 points:
+    the pair coloring is perfect on the triangle hypergraph iff the
+    graph is strongly regular, a star, K_{n-1} + K_1, or two or more
+    disjoint equal cliques."""
+    run_suite("AC13", 60)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import pcolor
-from pcolor import fano, save, sylvester
+from pcolor import fano, path_graph, save, sylvester
 from pcolor.suites import maiorana_mcfarland
 
 
@@ -183,7 +183,7 @@ def test_verify_hadamard(workdir):
     (workdir / "badh.json").write_text(json.dumps(bad))
     doc = run_json("verify", "hadamard", "--hadamard", "badh.json",
                    cwd=workdir, expect=1)
-    assert doc["witness"]["expected"] == 0
+    assert doc["witness"] == {"rows": [0, 1], "dot": 2, "expected": 0}
 
 
 def test_verify_pds(workdir):
@@ -230,7 +230,8 @@ def test_verify_transversal(workdir):
     assert doc["set_size"] == 7
     doc = run_json("verify", "transversal", "--hypergraph", "dh.json",
                    "--set", "vs.json", "--l", 2, cwd=workdir, expect=1)
-    assert "witness" in doc
+    # the first hyperedge holds the five triples through the pair {0,1}
+    assert doc["witness"] == {"edge": [0, 1, 2, 3, 4], "meets": 1, "expected": 2}
     run_cli("verify", "transversal", "--hypergraph", "dh.json",
             "--set", "vs.json", cwd=workdir, expect=2)
 
@@ -253,7 +254,16 @@ def test_verify_dh(workdir):
     (workdir / "dense.json").write_text(json.dumps(dense))
     doc = run_json("verify", "dh", "--graph", "j73.json",
                    "--set", "dense.json", "--t", 0, cwd=workdir, expect=1)
-    assert "witness" in doc
+    assert doc["witness"] == {"vertex": 0, "inner_degree": 2, "max_allowed": 0}
+    # t out of range, an empty set and an irregular graph are input errors
+    run_cli("verify", "dh", "--graph", "j73.json", "--set", "dense.json",
+            "--t", 12, cwd=workdir, expect=2)
+    (workdir / "empty.json").write_text(json.dumps({"type": "vertexset", "n": 35, "set": []}))
+    run_cli("verify", "dh", "--graph", "j73.json", "--set", "empty.json",
+            "--t", 0, cwd=workdir, expect=2)
+    save(path_graph(35), workdir / "path.json")
+    run_cli("verify", "dh", "--graph", "path.json", "--set", "dense.json",
+            "--t", 0, cwd=workdir, expect=2)
 
 
 def test_bridge_hadamard_chain(workdir):

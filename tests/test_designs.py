@@ -17,6 +17,7 @@ from pcolor import (
     enumerate_subspaces,
     fano,
     hadamard_to_design,
+    hadamard_violation,
     johnson,
     johnson_design_multigraph,
     paley_hadamard,
@@ -185,6 +186,17 @@ def test_hadamard_validation():
     H = HadamardMatrix([[1, 1], [1, -1]])
     assert verify_hadamard(H)
     assert not verify_hadamard(HadamardMatrix([[1, 1], [1, 1]]))
+
+
+def test_hadamard_violation_witness():
+    assert hadamard_violation(sylvester(8)) is None
+    assert hadamard_violation(HadamardMatrix([[1, 1], [1, 1]])) == (0, 1, 2)
+    mat = sylvester(8).mat.copy()
+    mat[0, 7] = -1                      # row 0 now meets row 1 in dot product 2
+    assert hadamard_violation(HadamardMatrix(mat)) == (0, 1, 2)
+    mat = sylvester(8).mat.copy()
+    mat[6, 0] = -1                      # rows 0..5 and 7 now meet row 6 in -2
+    assert hadamard_violation(HadamardMatrix(mat)) == (0, 6, -2)
 
 
 def test_paley_hadamard():

@@ -1,5 +1,6 @@
 """Tests for the named graph, hypergraph, and group families."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pcolor import (
     AbelianGroup,
     Subspace,
+    SubspaceDesign,
     cayley,
     complete_graph,
     cycle_graph,
@@ -26,10 +28,21 @@ from pcolor import (
     petersen,
     rref_gf,
     subspace_design_hypergraph,
+    subspace_design_violation,
     triangle_hypergraph,
     vec_to_int,
     verify_srg,
 )
+from pcolor.families import point_incidence
+from pcolor.suites import find_spread
+
+# Every (n, k) with 1 <= k <= n <= 7, and every (n, k, t) with 0 < t < k < n <= 7.
+SUBSET_NK = [(n, k) for n in range(1, 8) for k in range(1, n + 1)]
+SUBSET_NKT = [(n, k, t) for n, k in SUBSET_NK for t in range(1, k) if k < n]
+# (q, n) for the per-object point oracle, and the smaller ones whose
+# per-pair RREF oracles stay fast.
+FIELD_DIMS = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)]
+PAIR_FIELD_DIMS = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
 
 
 def test_ksubsets_order_and_count():
@@ -257,3 +270,120 @@ def test_rref_is_idempotent(seed):
     R2, rank2 = rref_gf(R[:rank], 2)
     assert rank == rank2
     assert np.array_equal(R[:rank], R2[:rank2])
+
+
+# ------------------------------------------- brute-force oracles for the
+# constructors built on point incidence: same vertex order, edge order and
+# multiplicities as the definitions computed pair by pair.
+
+@pytest.mark.parametrize("n,k", SUBSET_NK)
+def test_johnson_matches_set_intersections(n, k):
+    subs = ksubsets(n, k)
+    expected = [[int(i != j and len(set(u) & set(v)) == k - 1)
+                 for j, v in enumerate(subs)] for i, u in enumerate(subs)]
+    assert johnson(n, k).adj.tolist() == expected
+
+
+@pytest.mark.parametrize("n,k,t", SUBSET_NKT)
+def test_johnson_design_multigraph_matches_set_intersections(n, k, t):
+    subs = ksubsets(n, k)
+    expected = [[0 if i == j else math.comb(len(set(u) & set(v)), t)
+                 for j, v in enumerate(subs)] for i, u in enumerate(subs)]
+    assert johnson_design_multigraph(n, k, t).adj.tolist() == expected
+
+
+def test_johnson_design_multigraph_large_k_does_not_wrap():
+    # distinct 257-subsets of a 258-set share 256 points, more than uint8 holds
+    G = johnson_design_multigraph(258, 257, 1)
+    assert (G.adj == 256 * (1 - np.eye(258, dtype=np.int64))).all()
+
+
+@pytest.mark.parametrize("n,k,t", SUBSET_NKT)
+def test_design_hypergraph_matches_set_containment(n, k, t):
+    subs = ksubsets(n, k)
+    expected = [tuple(i for i, u in enumerate(subs) if set(T) <= set(u))
+                for T in itertools.combinations(range(n), t)]
+    H = design_hypergraph(n, k, t)
+    assert H.n == len(subs) and H.edges == expected
+
+
+@pytest.mark.parametrize("q,n", PAIR_FIELD_DIMS)
+def test_grassmann_matches_intersection_dim(q, n):
+    for k in range(n + 1):
+        subs = enumerate_subspaces(n, k, q)
+        if k in (0, n):
+            expected = [[0]]
+        else:
+            expected = [[int(i != j and U.intersection_dim(V) == k - 1)
+                         for j, V in enumerate(subs)] for i, U in enumerate(subs)]
+        assert grassmann(n, k, q).adj.tolist() == expected, (n, k, q)
+
+
+@pytest.mark.parametrize("q,n", PAIR_FIELD_DIMS)
+def test_subspace_design_hypergraph_matches_containment(q, n):
+    for k in range(2, n):
+        verts = enumerate_subspaces(n, k, q)
+        for t in range(1, k):
+            expected = [tuple(i for i, U in enumerate(verts) if U.contains(T))
+                        for T in enumerate_subspaces(n, t, q)]
+            H = subspace_design_hypergraph(n, k, t, q)
+            assert H.n == len(verts) and H.edges == expected, (n, k, t, q)
+
+
+@pytest.mark.parametrize("q,n", FIELD_DIMS)
+def test_point_incidence_marks_projective_points(q, n):
+    """Row i marks the nonzero vectors of subspace i scaled to a leading 1,
+    under the one numbering of the [n 1]_q points that the 1-subspaces fix."""
+    def projective(U):
+        out = set()
+        for v in U.vectors():
+            if any(v):
+                inv = pow(next(x for x in v if x), q - 2, q)
+                out.add(tuple(x * inv % q for x in v))
+        return out
+
+    points = enumerate_subspaces(n, 1, q)
+    P1 = point_incidence(points, n, q)
+    assert (P1.sum(axis=1) == 1).all()
+    column = {next(iter(projective(p))): int(row.argmax()) for p, row in zip(points, P1)}
+    assert sorted(column.values()) == list(range(gaussian_binomial(n, 1, q)))
+    for k in range(n + 1):
+        subs = enumerate_subspaces(n, k, q)
+        P = point_incidence(subs, n, q)
+        assert P.shape == (len(subs), len(column))
+        for U, row in zip(subs, P):
+            assert set(np.flatnonzero(row)) == {column[v] for v in projective(U)}
+
+
+def test_point_incidence_of_nothing():
+    assert point_incidence([], 4, 2).shape == (0, 15)
+    assert point_incidence([], 3, 3).shape == (0, 13)
+    assert point_incidence([], 5).shape == (0, 5)
+
+
+def test_subspace_design_hypergraph_6_3_2_2_shape():
+    H = subspace_design_hypergraph(6, 3, 2, 2)
+    assert H.n == 1395 and H.num_edges == 651
+    assert H.uniform_size() == 15 and H.regularity() == 7
+
+
+def _first_violation(D):
+    for T in enumerate_subspaces(D.n, D.t, D.q):
+        count = sum(U.contains(T) for U in D.subspaces)
+        if count != D.lam:
+            return T, count
+    return None
+
+
+def test_subspace_design_violation_matches_containment():
+    lines = enumerate_subspaces(4, 2, 2)
+    spread = find_spread(lines)
+    D = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=spread)
+    assert subspace_design_violation(D) is None
+    outside = next(L for L in lines if L not in spread)
+    swapped = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2,
+                             subspaces=[outside] + spread[1:])
+    violation = subspace_design_violation(swapped)
+    assert violation == _first_violation(swapped) and violation[1] != 1
+    empty = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=[])
+    assert subspace_design_violation(empty) == (enumerate_subspaces(4, 1, 2)[0], 0)

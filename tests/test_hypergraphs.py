@@ -20,6 +20,7 @@ from pcolor import (
     quotient_matrix,
     restrict_bipartite_coloring,
     transversal_quotient,
+    transversal_violation,
     triangle_hypergraph,
     verify_quotient,
     verify_transversal,
@@ -177,6 +178,16 @@ def test_verify_transversal():
     assert not verify_transversal(H, matching[:1], 1)
     with pytest.raises(ValueError):
         verify_transversal(H, [17], 1)
+
+
+def test_transversal_violation_witness():
+    H = triangle_hypergraph(4)          # edges (0,1,3), (0,2,4), (1,2,5), (3,4,5)
+    matching = [0, 5]                   # the pairs {0,1} and {2,3}
+    assert transversal_violation(H, matching, 1) is None
+    assert transversal_violation(H, matching, 2) == ((0, 1, 3), 1)
+    assert transversal_violation(H, [0], 1) == ((1, 2, 5), 0)
+    with pytest.raises(ValueError):
+        transversal_violation(H, [17], 1)
 
 
 def test_transversal_quotient_formula():

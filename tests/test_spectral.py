@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pcolor import (
     Coloring,
     Multigraph,
+    OverFullVertex,
     check_dh_extremal,
     complete_graph,
     cycle_graph,
@@ -109,9 +110,20 @@ def test_check_dh_extremal_rejects_dense_sets():
 
 def test_check_dh_extremal_counts_loops():
     # a loop at a member contributes to its inner degree
-    G = Multigraph([[1, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        check_dh_extremal(G, [0], t=0)
+    G = Multigraph([[1, 1], [1, 1]])
+    with pytest.raises(OverFullVertex) as info:
+        check_dh_extremal(G, [1], t=0)
+    assert (info.value.vertex, info.value.inner_degree, info.value.t) == (1, 1, 0)
+
+
+def test_check_dh_extremal_names_smallest_over_full_member():
+    # In J(5,2) the members {0,1}, {0,2}, {0,4}, {3,4} (vertices 0, 1, 3, 9)
+    # have inner degrees 2, 2, 3, 1: vertex 0 is the smallest over t = 1.
+    J = johnson(5, 2)
+    with pytest.raises(OverFullVertex) as info:
+        check_dh_extremal(J, [9, 3, 1, 0], t=1)
+    assert (info.value.vertex, info.value.inner_degree, info.value.t) == (0, 2, 1)
+    assert isinstance(info.value, ValueError)
 
 
 def test_delsarte_clique_bound():

@@ -124,12 +124,18 @@ def is_bent(b):
     return bool(bent_rows(b.sign()[None])[0])
 
 
+def bent_violation(b):
+    """(y, c(y)) for the first y != 0 with a nonzero sign autoconvolution,
+    or None if b is bent; c(0) = 2^n, so every other b has such a y."""
+    if is_bent(b):
+        return None
+    conv = sign_autoconvolution(b)
+    y = int(np.flatnonzero(conv[1:])[0]) + 1
+    return y, int(conv[y])
+
+
 def _heavy_weight(n):
     return (1 << (n - 1)) + (1 << (n // 2 - 1))
-
-
-def _light_weight(n):
-    return (1 << (n - 1)) - (1 << (n // 2 - 1))
 
 
 def bent_to_difference_set(b):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import serialize
 from .bent import (BooleanFunction, bent_to_difference_set,
-                   bent_to_grassmann_coloring, grassmann_coloring_to_bent,
-                   is_bent, sign_autoconvolution)
+                   bent_to_grassmann_coloring, bent_violation,
+                   grassmann_coloring_to_bent)
 from .designs import (BlockDesign, HadamardMatrix, SubspaceDesign,
                       design_to_coloring, design_violation, hadamard_to_design,
                       hadamard_violation, subspace_design_violation)
@@ -32,7 +32,7 @@ from .hypergraphs import (Hypergraph, hypergraph_is_perfect,
                           transversal_violation)
 from .multigraph import Coloring, Multigraph, merge_colors, quotient_matrix
 from .spectral import OverFullVertex, check_dh_extremal
-from .suites import SUITES, run, run_all
+from .suites import SUITES, run
 
 
 def _plain(x):
@@ -173,10 +173,9 @@ def cmd_build(args):
         raise InputError("--sparse only applies to multigraph outputs")
     serialize.save(obj, args.out, **({"sparse": True} if args.sparse else {}))
     report = {"ok": True, "out": args.out, "type": serialize.to_json(obj)["type"]}
-    if isinstance(obj, Multigraph):
+    if isinstance(obj, (Multigraph, Hypergraph)):
         report["n"] = obj.n
-    elif isinstance(obj, Hypergraph):
-        report["n"] = obj.n
+    if isinstance(obj, Hypergraph):
         report["edges"] = len(obj.edges)
     _emit(report)
     return 0
@@ -283,12 +282,10 @@ def _verify_srg(args):
 
 def _verify_bent(args):
     b = _load_as(args.boolfun, BooleanFunction, "boolfun")
-    if not is_bent(b):
-        conv = sign_autoconvolution(b)
-        bad = [y for y in range(1, conv.size) if conv[y] != 0]
-        y = bad[0] if bad else 0
-        return False, {"witness": {"y": int(y), "autoconvolution": int(conv[y]),
-                                   "expected": 0 if y else int(conv.size)}}
+    violation = bent_violation(b)
+    if violation is not None:
+        y, conv = violation
+        return False, {"witness": {"y": y, "autoconvolution": conv, "expected": 0}}
     return True, {"n": b.n, "support_size": b.weight()}
 
 

@@ -20,14 +20,12 @@ silently picking one.
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .families import (Subspace, containment, enumerate_subspaces,
-                       gaussian_binomial, johnson_design_multigraph, ksubsets,
-                       point_incidence, subspace_design_hypergraph)
-from .hypergraphs import incidence_bipartite, m12
+from .families import (Subspace, _binom, _design_multigraph, _objects,
+                       containment, enumerate_subspaces, gaussian_binomial,
+                       point_incidence)
 from .multigraph import Coloring, QuotientMatrix
 from .spectral import check_dh_extremal
 
@@ -72,6 +70,10 @@ def design_violation(D):
     """First t-subset covered by the wrong number of blocks, or None.
 
     Returns (t_subset, count) for the lexicographically first violation.
+
+    A bitmask loop, not a containment product: at 2-(255,127,63) that needs
+    a 32,385 x 255 incidence and 2.1 G int64 multiply-adds, which numpy runs
+    without BLAS at about 0.55 G/s on a 2-CPU x86 machine (4 s vs 1 s).
     """
     masks = [sum(1 << v for v in b) for b in D.blocks]
     for T in itertools.combinations(range(D.n), D.t):
@@ -105,7 +107,12 @@ def verify_subspace_design(D):
     return subspace_design_violation(D) is None
 
 
-def _two_color_quotient(R, K, lam):
+# One body for block designs (q None) and subspace designs (prime q).
+
+def _quotient_actual(n, k, t, lam, q):
+    if not 0 < t < k < n:
+        raise ValueError("requires 0 < t < k < n")
+    R, K = _binom(k, t, q), _binom(n - t, k - t, q)
     if not 0 < lam <= K:
         raise ValueError("lambda must satisfy 0 < lambda <= max block count per t-set")
     if lam == K:
@@ -115,15 +122,28 @@ def _two_color_quotient(R, K, lam):
                            [lam * R, (K - 1 - lam) * R]])
 
 
+def _quotient_reference(n, k, t, lam, q):
+    if not 0 < t < k < n:
+        raise ValueError("requires 0 < t < k < n")
+    R, C = _binom(k, t, q), _binom(n - k, k - t, q)
+    if lam == C + 1:
+        return QuotientMatrix([[(lam - 1) * R]])
+    return QuotientMatrix([[(lam - 1) * R, (C - lam + 1) * R],
+                           [lam * R, (C - lam) * R]])
+
+
+def _quotient_report(n, k, t, lam, q):
+    a, r = _quotient_actual(n, k, t, lam, q), _quotient_reference(n, k, t, lam, q)
+    return QuotientComparison(a, r, a == r)
+
+
 def design_quotient_actual(n, k, t, lam):
     """Quotient a true t-(n,k,lambda) design's indicator verifies.
 
     R = C(k,t), K = C(n-t,k-t); on johnson_design_multigraph(n,k,t).
     Degenerate lambda = K (all blocks) returns the 1x1 monochromatic case.
     """
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    return _two_color_quotient(comb(k, t), comb(n - t, k - t), lam)
+    return _quotient_actual(n, k, t, lam, None)
 
 
 def design_quotient_reference(n, k, t, lam):
@@ -132,14 +152,7 @@ def design_quotient_reference(n, k, t, lam):
     Valid only at t = k-1; for t < k-1 it disagrees with the brute-force
     quotient (see design_quotient_report).
     """
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    R = comb(k, t)
-    C = comb(n - k, k - t)
-    if lam == C + 1:
-        return QuotientMatrix([[(lam - 1) * R]])
-    return QuotientMatrix([[(lam - 1) * R, (C - lam + 1) * R],
-                           [lam * R, (C - lam) * R]])
+    return _quotient_reference(n, k, t, lam, None)
 
 
 def subspace_design_quotient_actual(n, k, t, lam, q):
@@ -148,23 +161,13 @@ def subspace_design_quotient_actual(n, k, t, lam, q):
     R = [k t]_q, K = [n-t k-t]_q; on the loopless m12 of the k-subspace
     hypergraph grouped by t-subspaces.
     """
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    return _two_color_quotient(gaussian_binomial(k, t, q),
-                               gaussian_binomial(n - t, k - t, q), lam)
+    return _quotient_actual(n, k, t, lam, q)
 
 
 def subspace_design_quotient_reference(n, k, t, lam, q):
     """Subspace analog of the quoted closed form; disagrees with the
     brute-force quotient even at t = k-1 (see the spread example)."""
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    R = gaussian_binomial(k, t, q)
-    C = gaussian_binomial(n - k, k - t, q)
-    if lam == C + 1:
-        return QuotientMatrix([[(lam - 1) * R]])
-    return QuotientMatrix([[(lam - 1) * R, (C - lam + 1) * R],
-                           [lam * R, (C - lam) * R]])
+    return _quotient_reference(n, k, t, lam, q)
 
 
 @dataclass
@@ -177,15 +180,22 @@ class QuotientComparison:
 
 
 def design_quotient_report(n, k, t, lam):
-    a = design_quotient_actual(n, k, t, lam)
-    r = design_quotient_reference(n, k, t, lam)
-    return QuotientComparison(a, r, a == r)
+    return _quotient_report(n, k, t, lam, None)
 
 
 def subspace_design_quotient_report(n, k, t, lam, q):
-    a = subspace_design_quotient_actual(n, k, t, lam, q)
-    r = subspace_design_quotient_reference(n, k, t, lam, q)
-    return QuotientComparison(a, r, a == r)
+    return _quotient_report(n, k, t, lam, q)
+
+
+def _indicator(D, members, q, G, empty, mismatch):
+    """Color 0 on members among all k-objects of D's space, in their order."""
+    if not members:
+        raise ValueError(empty)
+    verts = _objects(D.n, D.k, q)
+    if G is not None and G.n != len(verts):
+        raise ValueError(mismatch)
+    index = {u: i for i, u in enumerate(verts)}
+    return Coloring.from_set(len(verts), [index[u] for u in members])
 
 
 def design_to_coloring(D, G=None):
@@ -196,24 +206,14 @@ def design_to_coloring(D, G=None):
     A design containing every k-subset colors everything 0 (monochromatic);
     an empty design is an error.
     """
-    if not D.blocks:
-        raise ValueError("design has no blocks")
-    verts = ksubsets(D.n, D.k)
-    if G is not None and G.n != len(verts):
-        raise ValueError("graph vertex count does not match C(n,k)")
-    index = {u: i for i, u in enumerate(verts)}
-    return Coloring.from_set(len(verts), [index[b] for b in set(D.blocks)])
+    return _indicator(D, D.blocks, None, G, "design has no blocks",
+                      "graph vertex count does not match C(n,k)")
 
 
 def subspace_design_to_coloring(D, G=None):
     """Indicator coloring of the k-subspace vertices: color 0 on members."""
-    if not D.subspaces:
-        raise ValueError("design has no subspaces")
-    verts = enumerate_subspaces(D.n, D.k, D.q)
-    if G is not None and G.n != len(verts):
-        raise ValueError("graph vertex count does not match the subspace count")
-    index = {s.key(): i for i, s in enumerate(verts)}
-    return Coloring.from_set(len(verts), [index[s.key()] for s in D.subspaces])
+    return _indicator(D, D.subspaces, D.q, G, "design has no subspaces",
+                      "graph vertex count does not match the subspace count")
 
 
 def steiner_independence_check(D):
@@ -221,19 +221,15 @@ def steiner_independence_check(D):
 
     Blocks of a Steiner-type design pairwise share fewer than t points
     (subspaces: dimension < t), so they form an independent set in the
-    multiplicity-C(|u & v|, t) multigraph; a true design attains the
-    ratio bound with t = 0 there.
+    multigraph joining two k-objects once per common t-object; a true
+    design attains the ratio bound with t = 0 there.
     """
     if D.lam != 1:
         raise ValueError("independence check applies to lambda = 1 designs")
-    if isinstance(D, SubspaceDesign):
-        H = subspace_design_hypergraph(D.n, D.k, D.t, D.q)
-        G = m12(incidence_bipartite(H), keep_loops=False)
-        f = subspace_design_to_coloring(D)
-    else:
-        G = johnson_design_multigraph(D.n, D.k, D.t)
-        f = design_to_coloring(D)
-    return check_dh_extremal(G, np.flatnonzero(f.assignment == 0), t=0)
+    q, to_coloring = ((D.q, subspace_design_to_coloring) if isinstance(D, SubspaceDesign)
+                      else (None, design_to_coloring))
+    G = _design_multigraph(D.n, D.k, D.t, q)
+    return check_dh_extremal(G, np.flatnonzero(to_coloring(D).assignment == 0), t=0)
 
 
 # ------------------------------------------------------------- Hadamard
@@ -315,16 +311,10 @@ def hadamard_to_design(H):
         raise ValueError("order must be divisible by 4")
     if H.order == 4:
         raise ValueError("order 4 gives the degenerate m = 0 design")
-    mat = H.mat.copy()
-    for i in range(H.order):
-        if mat[i, 0] == -1:
-            mat[i] *= -1
-    for j in range(H.order):
-        if mat[0, j] == -1:
-            mat[:, j] *= -1
-    core = mat[1:, 1:]
+    mat = H.mat * H.mat[:, :1]
+    mat *= mat[:1]
     m = (H.order - 4) // 4
-    blocks = [tuple(np.flatnonzero(row == 1)) for row in core]
+    blocks = [tuple(np.flatnonzero(row == 1)) for row in mat[1:, 1:]]
     return BlockDesign(n=H.order - 1, k=2 * m + 1, t=2, lam=m, blocks=blocks)
 
 

@@ -14,7 +14,9 @@ be exchanged as plain integer arrays:
 k-subsets and their q-analogs, k-subspaces, share one construction: the
 0/1 matrix P of objects x points from point_incidence, whose P P^T
 counts common points.  Adjacency, design multiplicities and containment
-are all read off these intersection sizes.
+are all read off these intersection sizes.  Subsets are the q=None case
+([m t]_q becomes C(m, t)), so each subset construction shares one body
+with its q-analog.
 """
 
 import itertools
@@ -34,33 +36,26 @@ def ksubsets(n, k):
 
 
 def complete_graph(n):
-    adj = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(adj, 0)
-    return Multigraph(adj)
+    return Multigraph(1 - np.eye(n, dtype=np.int64))
 
 
 def cycle_graph(n):
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    adj = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        adj[v, (v + 1) % n] = adj[(v + 1) % n, v] = 1
-    return Multigraph(adj)
+    adj = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+    return Multigraph(adj + adj.T)
 
 
 def path_graph(n):
-    adj = np.zeros((n, n), dtype=np.int64)
-    for v in range(n - 1):
-        adj[v, v + 1] = adj[v + 1, v] = 1
-    return Multigraph(adj)
+    adj = np.eye(n, k=1, dtype=np.int64)
+    return Multigraph(adj + adj.T)
 
 
 def johnson(n, k):
     """Johnson graph: k-subsets adjacent when they share k-1 elements."""
     if not 0 < k <= n:
         raise ValueError("johnson requires 0 < k <= n")
-    P = point_incidence(ksubsets(n, k), n)
-    return Multigraph((P @ P.T == k - 1).astype(np.int64))
+    return _meet_graph(n, k, None)
 
 
 def petersen():
@@ -76,10 +71,7 @@ def design_hypergraph(n, k, t):
     """
     if not 0 < t < k < n:
         raise ValueError("design hypergraph requires 0 < t < k < n")
-    verts = ksubsets(n, k)
-    inside = containment(point_incidence(ksubsets(n, t), n),
-                         point_incidence(verts, n), t)
-    return Hypergraph(len(verts), [np.flatnonzero(row) for row in inside])
+    return _design_hypergraph(n, k, t, None)
 
 
 def johnson_design_multigraph(n, k, t):
@@ -88,14 +80,7 @@ def johnson_design_multigraph(n, k, t):
     Equals the loopless m12 of design_hypergraph(n, k, t): two blocks are
     joined once for every common t-subset.
     """
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    # The m x m intersection sizes are at most k: hold them in the
-    # narrowest dtype that holds k.
-    P = point_incidence(ksubsets(n, k), n).astype(np.min_scalar_type(k))
-    adj = np.array([comb(s, t) for s in range(k + 1)], dtype=np.int64)[P @ P.T]
-    np.fill_diagonal(adj, 0)
-    return Multigraph(adj)
+    return _design_multigraph(n, k, t, None)
 
 
 # ------------------------------------------------------- GF(q) subspaces
@@ -179,12 +164,10 @@ class Subspace:
 
     def contains(self, other):
         """True iff `other` (a Subspace) is contained in this subspace."""
-        stacked, rank = rref_gf(np.vstack([self.basis, other.basis]), self.q)
-        return rank == self.k
+        return rref_gf(np.vstack([self.basis, other.basis]), self.q)[1] == self.k
 
     def intersection_dim(self, other):
-        _, rank = rref_gf(np.vstack([self.basis, other.basis]), self.q)
-        return self.k + other.k - rank
+        return self.k + other.k - rref_gf(np.vstack([self.basis, other.basis]), self.q)[1]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
@@ -213,8 +196,7 @@ def enumerate_subspaces(n, k, q):
         free = [(i, j) for i in range(k) for j in range(n)
                 if j > pivots[i] and j not in pivots]
         base = np.zeros((k, n), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
+        base[np.arange(k), pivots] = 1
         for values in itertools.product(range(q), repeat=len(free)):
             mat = base.copy()
             for (i, j), val in zip(free, values):
@@ -226,13 +208,7 @@ def enumerate_subspaces(n, k, q):
 
 def grassmann(n, k, q):
     """Grassmann graph: k-subspaces adjacent when meeting in dimension k-1."""
-    subspaces = enumerate_subspaces(n, k, q)
-    if k == 0 or k == n:
-        return Multigraph(np.zeros((1, 1), dtype=np.int64))
-    P = point_incidence(subspaces, n, q)
-    # a (k-1)-dimensional meet has [k-1 1]_q projective points, and the
-    # diagonal holds [k 1]_q, so there are no loops
-    return Multigraph((P @ P.T == gaussian_binomial(k - 1, 1, q)).astype(np.int64))
+    return _meet_graph(n, k, q)
 
 
 def subspace_design_hypergraph(n, k, t, q):
@@ -243,10 +219,49 @@ def subspace_design_hypergraph(n, k, t, q):
     """
     if not 0 < t < k < n:
         raise ValueError("requires 0 < t < k < n")
-    verts = enumerate_subspaces(n, k, q)
-    inside = containment(point_incidence(enumerate_subspaces(n, t, q), n, q),
-                         point_incidence(verts, n, q), gaussian_binomial(t, 1, q))
+    return _design_hypergraph(n, k, t, q)
+
+
+# ----------------------------------------- one body for subsets and subspaces
+# q None means k-subsets of {0..n-1}, a prime q k-subspaces of GF(q)^n.
+# Two k-objects meeting in a d-object share _binom(d, 1, q) points.
+
+def _objects(n, k, q):
+    return ksubsets(n, k) if q is None else enumerate_subspaces(n, k, q)
+
+
+def _binom(m, t, q):
+    return comb(m, t) if q is None else gaussian_binomial(m, t, q)
+
+
+def _meet_graph(n, k, q):
+    P = point_incidence(_objects(n, k, q), n, q)
+    adj = (P @ P.T == _binom(k - 1, 1, q)).astype(np.int64)
+    # adjacent when meeting in a (k-1)-object; clear the diagonal for k = 0,
+    # where the one object has 0 = [-1 1]_q points
+    np.fill_diagonal(adj, 0)
+    return Multigraph(adj)
+
+
+def _design_hypergraph(n, k, t, q):
+    verts = _objects(n, k, q)
+    inside = containment(point_incidence(_objects(n, t, q), n, q),
+                         point_incidence(verts, n, q), _binom(t, 1, q))
     return Hypergraph(len(verts), [np.flatnonzero(row) for row in inside])
+
+
+def _design_multigraph(n, k, t, q):
+    """Loopless multigraph on k-objects joined once per common t-object: a
+    d-dimensional meet has [d 1]_q common points and [d t]_q t-objects."""
+    if not 0 < t < k < n:
+        raise ValueError("requires 0 < t < k < n")
+    points = _binom(k, 1, q)    # the most two k-objects share; sets the dtype
+    P = point_incidence(_objects(n, k, q), n, q).astype(np.min_scalar_type(points))
+    lookup = np.zeros(points + 1, dtype=np.int64)
+    lookup[[_binom(d, 1, q) for d in range(k + 1)]] = [_binom(d, t, q) for d in range(k + 1)]
+    adj = lookup[P @ P.T]
+    np.fill_diagonal(adj, 0)
+    return Multigraph(adj)
 
 
 # ------------------------------------------------------ point incidence
@@ -261,9 +276,8 @@ def point_incidence(objects, n, q=None):
     point with m coordinates after its leading 1 is column [m 1]_q plus
     those coordinates read base q.
     """
-    width = n if q is None else gaussian_binomial(n, 1, q)
-    P = np.zeros((len(objects), width), dtype=np.int64)
-    if not objects:
+    P = np.zeros((len(objects), _binom(n, 1, q)), dtype=np.int64)
+    if not P.size:
         return P
     if q is None:
         cols = np.array(objects, dtype=np.int64)
@@ -293,11 +307,11 @@ def triangle_hypergraph(n):
     on n points; each triangle contributes one hyperedge."""
     if n < 3:
         raise ValueError("needs n >= 3")
-    pairs = ksubsets(n, 2)
-    index = {p: i for i, p in enumerate(pairs)}
-    edges = [sorted((index[(i, j)], index[(i, l)], index[(j, l)]))
-             for i, j, l in itertools.combinations(range(n), 3)]
-    return Hypergraph(len(pairs), edges)
+    T = np.array(ksubsets(n, 3), dtype=np.int64)
+    # triangle ijl has sides ij, il, jl; the pair a < b is number
+    # a(2n-a-1)/2 + b-a-1 of ksubsets(n, 2)
+    a, b = T[:, [0, 0, 1]], T[:, [1, 2, 2]]
+    return Hypergraph(comb(n, 2), (a * (2 * n - a - 1) // 2 + b - a - 1).tolist())
 
 
 def int_to_vec(x, n):

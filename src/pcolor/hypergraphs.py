@@ -16,6 +16,7 @@ indicator 2-coloring of the loop-keeping m12 of an r-regular k-uniform
 hypergraph is equitable with quotient [[l r, (k-l) r], [l r, (k-l) r]].
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ class Hypergraph:
 
     def regularity(self):
         """Common vertex degree r, or None if not regular."""
-        deg = self.incidence().sum(axis=1)
+        members = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64)
+        deg = np.bincount(members, minlength=self.n)
         return int(deg[0]) if (deg == deg[0]).all() else None
 
     def __repr__(self):
@@ -106,7 +108,6 @@ def m12(B, keep_loops=True):
     """
     adj = B.Y @ B.Y.T
     if not keep_loops:
-        adj = adj.copy()
         np.fill_diagonal(adj, 0)
     return Multigraph(adj)
 
@@ -117,8 +118,7 @@ def line_multigraph(H):
     if k is None:
         raise ValueError("line multigraph requires a uniform hypergraph")
     Y = H.incidence()
-    adj = Y.T @ Y - k * np.eye(len(H.edges), dtype=np.int64)
-    return Multigraph(adj)
+    return Multigraph(Y.T @ Y - k * np.eye(len(H.edges), dtype=np.int64))
 
 
 def _composition(edge, f):

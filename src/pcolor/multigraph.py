@@ -230,8 +230,7 @@ def merge_colors(f, groups):
     groups.sort(key=lambda g: g[0])
     relabel = np.zeros(f.num_colors, dtype=np.int64)
     for new, g in enumerate(groups):
-        for c in g:
-            relabel[c] = new
+        relabel[g] = new
     return Coloring(relabel[f.assignment])
 
 

@@ -41,11 +41,9 @@ def _require(cond, message):
 
 def _int_list(values, what):
     _require(isinstance(values, list), f"{what} must be a list")
-    out = []
     for v in values:
         _require(isinstance(v, int) and not isinstance(v, bool), f"{what} entries must be integers")
-        out.append(v)
-    return out
+    return list(values)
 
 
 def multigraph_to_json(G, sparse=False):

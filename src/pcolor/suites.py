@@ -130,9 +130,7 @@ def find_spread(subspaces):
         return None
 
     picks = extend([], frozenset())
-    if picks is None:
-        return None
-    return [subspaces[i] for i in picks]
+    return None if picks is None else [subspaces[i] for i in picks]
 
 
 def maiorana_mcfarland(n):
@@ -507,8 +505,3 @@ def run(name, seed=0):
         ok, detail = False, f"error: {exc!r}"
     return SuiteResult(name=name, ok=ok, detail=detail,
                        seconds=time.monotonic() - start)
-
-
-def run_all(seed=0):
-    """Run every suite in id order."""
-    return [run(name, seed=seed) for name in SUITES]

@@ -11,6 +11,7 @@ from pcolor import (
     bent_delta_coloring,
     bent_to_difference_set,
     bent_to_grassmann_coloring,
+    bent_violation,
     delta_hypergraph,
     grassmann,
     grassmann_coloring_to_bent,
@@ -318,3 +319,14 @@ def test_autoconvolution_zero_coordinate_is_2n(code):
     b = BooleanFunction([(code >> i) & 1 for i in range(16)])
     conv = sign_autoconvolution(b)
     assert conv[0] == 16
+
+
+def test_bent_violation_is_the_first_nonzero_shift():
+    assert bent_violation(BooleanFunction.from_string("0001")) is None
+    assert bent_violation(BooleanFunction.from_string("0" * 16)) == (1, 16)
+    for code in range(1 << 8):
+        b = BooleanFunction([(code >> i) & 1 for i in range(8)])
+        conv = sign_autoconvolution(b)
+        nonzero = [y for y in range(1, 8) if conv[y]]
+        assert bent_violation(b) == ((nonzero[0], int(conv[nonzero[0]])) if nonzero else None)
+        assert (bent_violation(b) is None) == is_bent(b)

@@ -171,7 +171,8 @@ def test_verify_bent(workdir):
     (workdir / "zero.json").write_text(json.dumps(zero))
     doc = run_json("verify", "bent", "--boolfun", "zero.json",
                    cwd=workdir, expect=1)
-    assert "witness" in doc
+    # every shift of the constant function correlates fully
+    assert doc["witness"] == {"y": 1, "autoconvolution": 16, "expected": 0}
 
 
 def test_verify_hadamard(workdir):

@@ -202,3 +202,41 @@ def test_cayley_bridge_always_consistent(seed, m):
         return
     report = cayley_srg_bridge(K, sorted(D))
     assert report.consistent
+
+
+def _first_srg_failure(G):
+    """First failing pair of a plain per-pair scan, as an oracle."""
+    common = G.adj @ G.adj
+    lam = mu = None
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            c = int(common[u, v])
+            if G.adj[u, v]:
+                lam = c if lam is None else lam
+                if c != lam:
+                    return "common-neighbor count differs on adjacent pairs", (u, v)
+            else:
+                mu = c if mu is None else mu
+                if c != mu:
+                    return "common-neighbor count differs on non-adjacent pairs", (u, v)
+    return lam, mu
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_srg_matches_the_pair_scan(seed):
+    """Relabeled circulant graphs are regular; most are not strongly
+    regular, and the witness is the first failing pair in row-major order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 20))
+    shifts = [d for d in range(1, n // 2 + 1) if rng.random() < 0.4] or [1]
+    A = np.zeros((n, n), dtype=np.int64)
+    for d in shifts:
+        A[np.arange(n), (np.arange(n) + d) % n] = 1
+        A[np.arange(n), (np.arange(n) - d) % n] = 1
+    perm = rng.permutation(n)
+    G = Multigraph(A[np.ix_(perm, perm)])
+    result = verify_srg(G)
+    if result or result.reason.startswith("common-neighbor"):
+        expected = _first_srg_failure(G)
+        got = (result.lam, result.mu) if result else (result.reason, result.witness)
+        assert got == expected

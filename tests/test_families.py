@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from pcolor import (
     enumerate_subspaces,
     gaussian_binomial,
     grassmann,
+    incidence_bipartite,
     int_to_vec,
     johnson,
     johnson_design_multigraph,
     ksubsets,
+    m12,
     path_graph,
     petersen,
     rref_gf,
@@ -33,7 +36,7 @@ from pcolor import (
     vec_to_int,
     verify_srg,
 )
-from pcolor.families import point_incidence
+from pcolor.families import _design_multigraph, point_incidence
 from pcolor.suites import find_spread
 
 # Every (n, k) with 1 <= k <= n <= 7, and every (n, k, t) with 0 < t < k < n <= 7.
@@ -187,6 +190,26 @@ def test_triangle_hypergraph():
     assert H.uniform_size() == 3 and H.regularity() == 3
     with pytest.raises(ValueError):
         triangle_hypergraph(2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_triangle_hypergraph_edges_are_the_triangles(n):
+    """Hyperedge ijl holds the pair indices of ij, il, jl, triples in
+    lexicographic order."""
+    index = {p: i for i, p in enumerate(ksubsets(n, 2))}
+    expected = [(index[(i, j)], index[(i, l)], index[(j, l)])
+                for i, j, l in itertools.combinations(range(n), 3)]
+    assert triangle_hypergraph(n).edges == expected
+
+
+def test_triangle_hypergraph_at_60_points_is_fast():
+    """C(60,3) = 34,220 triangles; the construction is linear in them
+    (about 0.1 s), where a pair-in-triple containment product would need
+    C(60,2) x C(60,3) int64 entries (485 MB)."""
+    start = time.perf_counter()
+    H = triangle_hypergraph(60)
+    assert time.perf_counter() - start < 2.0
+    assert H.n == 1770 and H.num_edges == 34220 and H.regularity() == 58
 
 
 def test_delta_hypergraph():
@@ -353,6 +376,27 @@ def test_point_incidence_marks_projective_points(q, n):
         assert P.shape == (len(subs), len(column))
         for U, row in zip(subs, P):
             assert set(np.flatnonzero(row)) == {column[v] for v in projective(U)}
+
+
+@pytest.mark.parametrize("q,n", FIELD_DIMS)
+def test_points_are_the_one_subspaces_in_order(q, n):
+    """The 1-subspaces, in enumeration order, are the points in column
+    order; so are the 1-subsets.  Subsets and subspaces share this order."""
+    P = point_incidence(enumerate_subspaces(n, 1, q), n, q)
+    assert (P == np.eye(gaussian_binomial(n, 1, q), dtype=np.int64)).all()
+    assert (point_incidence(ksubsets(n, 1), n) == np.eye(n, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(3, 7)] + [(3, 3), (3, 4)])
+def test_design_multigraph_matches_m12(q, n):
+    """The common-point lookup equals the loopless m12 of the design
+    hypergraph, which counts common t-subspaces directly."""
+    for k in range(2, n):
+        for t in range(1, k):
+            expected = m12(incidence_bipartite(subspace_design_hypergraph(n, k, t, q)),
+                           keep_loops=False)
+            G = _design_multigraph(n, k, t, q)
+            assert G.adj.dtype == np.int64 and (G.adj == expected.adj).all(), (n, k, t, q)
 
 
 def test_point_incidence_of_nothing():

@@ -9,6 +9,7 @@ from pcolor import (
     Coloring,
     Hypergraph,
     NotPerfect,
+    delta_hypergraph,
     design_hypergraph,
     fano,
     hypergraph_is_perfect,
@@ -234,3 +235,13 @@ def test_transversal_iff_quotient(seed, n, k):
             lhs = verify_transversal(H, A, l)
             rhs = verify_quotient(G, f, transversal_quotient(k, r, l))
             assert lhs == rhs
+
+
+def test_regularity_counts_degrees_without_the_incidence():
+    # the dense incidence would be 1023 x 174,251 int64, about 1.4 GB
+    H = delta_hypergraph(10)
+    assert H.regularity() == 511
+    assert Hypergraph(4, [(0, 1), (2, 3), (0, 1)]).regularity() is None
+    assert Hypergraph(3, []).regularity() == 0
+    # the last vertex lies on no edge: degrees 1, 1, 0
+    assert Hypergraph(3, [(0, 1)]).regularity() is None

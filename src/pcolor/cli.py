@@ -26,7 +26,7 @@ from .difference_sets import (NotPDS, difference_set_to_symmetric_design,
                               verify_srg)
 from .families import (AbelianGroup, cayley, delta_hypergraph, grassmann,
                        design_hypergraph, johnson, subspace_design_hypergraph,
-                       triangle_hypergraph, vec_to_int)
+                       int_to_vec, triangle_hypergraph, vec_to_int)
 from .hypergraphs import (Hypergraph, hypergraph_is_perfect,
                           incidence_bipartite, line_multigraph, m12,
                           transversal_violation)
@@ -371,7 +371,7 @@ def _bridge_object(args):
         b = _load_as(args.infile, BooleanFunction, "boolfun")
         B, params = bent_to_difference_set(b)
         K = AbelianGroup([2] * b.n)
-        members = [tuple((x >> j) & 1 for j in range(b.n)) for x in B]
+        members = [int_to_vec(x, b.n) for x in B]
         return serialize.groupset_to_json(K, members, params)
     if name == "diffset-to-symmetric-design":
         K, D, _params = _load_groupset(args.infile)

@@ -40,9 +40,9 @@ class GroupFunction:
 
     @classmethod
     def indicator(cls, group, members):
-        members = set(group.coerce(members))
-        return cls(group, np.array([1 if e in members else 0 for e in group.elements],
-                                   dtype=np.int64))
+        values = np.zeros(group.order, dtype=np.int64)
+        values[[group.index(e) for e in group.coerce(members)]] = 1
+        return cls(group, values)
 
     @classmethod
     def unit_delta(cls, group):
@@ -62,11 +62,10 @@ def convolve(f, g):
     if f.group is not g.group and f.group.orders != g.group.orders:
         raise ValueError("functions must live on the same group")
     K = f.group
-    out = np.zeros(K.order, dtype=f.values.dtype)
-    for iy, y in enumerate(K.elements):
-        out[iy] = sum(f.values[ix] * g.values[K.index(K.sub(y, x))]
-                      for ix, x in enumerate(K.elements))
-    return GroupFunction(K, out)
+    out = np.zeros(K.order, dtype=np.result_type(f.values, g.values))
+    for x in np.flatnonzero(f.values):
+        out += f.values[x] * g.values[K.minus(x)]
+    return GroupFunction(K, out.astype(f.values.dtype, copy=False))
 
 
 @dataclass(frozen=True)
@@ -93,37 +92,36 @@ class NotPDS:
 
 
 def _difference_counts(K, D):
-    counts = {e: 0 for e in K.elements}
-    for d1 in D:
-        for d2 in D:
-            counts[K.sub(d1, d2)] += 1
-    return counts
+    """counts[i]: the pairs (d1, d2) of D, given as element indices, with
+    d1 - d2 = elements[i]."""
+    return sum((np.bincount(K.minus(d)[D], minlength=K.order) for d in D),
+               np.zeros(K.order, dtype=np.int64))
 
 
 def pds_params_from_set(K, D):
     """Infer (v,k,lambda,mu) from difference counts, or return a witness.
 
     lambda must be constant over nonzero members of D, mu over nonzero
-    non-members.  An empty comparison class makes the parameter 0.
+    non-members.  An empty comparison class makes the parameter 0.  The
+    witness pair is the first mismatch, scanning D in its given order and
+    non-members in element order.
     """
-    D = list(dict.fromkeys(K.coerce(D)))
-    counts = _difference_counts(K, set(D))
-    inside = [e for e in D if e != K.zero]
-    outside = [e for e in K.elements if e != K.zero and e not in set(D)]
-    lam = mu = 0
-    if inside:
-        lam = counts[inside[0]]
-        for e in inside[1:]:
-            if counts[e] != lam:
-                return NotPDS("difference counts differ inside D",
-                              inside[0], lam, e, counts[e])
-    if outside:
-        mu = counts[outside[0]]
-        for e in outside[1:]:
-            if counts[e] != mu:
-                return NotPDS("difference counts differ outside D",
-                              outside[0], mu, e, counts[e])
-    return PDSParams(v=K.order, k=len(D), lam=lam, mu=mu)
+    D = np.array([K.index(e) for e in dict.fromkeys(K.coerce(D))], dtype=np.int64)
+    counts = _difference_counts(K, D)
+    zero = K.index(K.zero)
+    outside = np.ones(K.order, dtype=bool)
+    outside[D] = False
+    outside[zero] = False
+    params = []
+    for where, cls in (("inside", D[D != zero]), ("outside", np.flatnonzero(outside))):
+        c = counts[cls]
+        bad = np.flatnonzero(c != c[:1])
+        if len(bad):
+            j = bad[0]
+            return NotPDS(f"difference counts differ {where} D",
+                          K.elements[cls[0]], int(c[0]), K.elements[cls[j]], int(c[j]))
+        params.append(int(c[0]) if len(c) else 0)
+    return PDSParams(v=K.order, k=len(D), lam=params[0], mu=params[1])
 
 
 def verify_pds(K, D, params):
@@ -142,8 +140,9 @@ def verify_pds(K, D, params):
     direct_ok = bool(direct) and direct == params
 
     chi = GroupFunction.indicator(K, D)
-    chi_neg = GroupFunction.indicator(K, [K.neg(d) for d in D])
-    conv = convolve(chi, chi_neg)
+    neg = np.zeros(K.order, dtype=np.int64)
+    neg[[K.minus(K.index(d))[0] for d in D]] = 1        # -d = 0 - d
+    conv = convolve(chi, GroupFunction(K, neg))
     delta = GroupFunction.unit_delta(K)
     rhs = (params.lam * chi.values + params.mu * (1 - chi.values)
            + (params.k - params.mu) * delta.values)
@@ -266,19 +265,14 @@ def difference_set_to_symmetric_design(K, D):
     """Symmetric 2-(v,k,lambda) design whose blocks are the translates of D.
 
     D must be a (v,k,lambda) difference set (lambda = mu); block x is
-    {y : x - y in D}, one per group element, read off the circulant-style
-    indicator matrix row by row.
+    {y : x - y in D} = {x - d : d in D}, one per group element.
     """
     D = list(dict.fromkeys(K.coerce(D)))
     params = pds_params_from_set(K, D)
     if not params or params.lam != params.mu:
         raise ValueError("D is not a difference set (constant difference counts "
                          "with lambda = mu required)")
-    Dset = set(D)
-    blocks = []
-    for x in K.elements:
-        blocks.append(tuple(sorted(K.index(y) for y in K.elements
-                                   if K.sub(x, y) in Dset)))
+    blocks = np.array([K.minus(K.index(d)) for d in D]).reshape(len(D), K.order).T
     design = BlockDesign(n=K.order, k=len(D), t=2, lam=params.lam, blocks=blocks)
     if not verify_design(design):
         raise RuntimeError("translate blocks failed design verification; "

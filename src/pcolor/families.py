@@ -350,7 +350,9 @@ def delta_edge_to_subspace(edge, n):
 # -------------------------------------------------------- abelian groups
 
 class AbelianGroup:
-    """Direct product of cyclic groups; elements are tuples, lex-ordered."""
+    """Direct product of cyclic groups.  Elements are tuples at the
+    boundary and indices inside: the index of a tuple is its lex rank,
+    the mixed-radix value of its digits, and only `minus` computes it."""
 
     def __init__(self, orders):
         orders = tuple(int(m) for m in orders)
@@ -359,17 +361,16 @@ class AbelianGroup:
         self.orders = orders
         self.elements = list(itertools.product(*[range(m) for m in orders]))
         self._index = {e: i for i, e in enumerate(self.elements)}
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    @property
-    def zero(self):
-        return (0,) * len(self.orders)
+        self.order = len(self.elements)
+        self.zero = self.elements[0]
+        self._coords = np.indices(orders).reshape(len(orders), -1)  # column i: elements[i]
 
     def index(self, x):
         return self._index[tuple(x)]
+
+    def minus(self, i):
+        """Index array p with p[j] = index(elements[j] - elements[i])."""
+        return np.ravel_multi_index(self._coords - self._coords[:, [i]], self.orders, mode="wrap")
 
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
@@ -404,9 +405,7 @@ def cayley(K, A):
         raise ValueError("connection set must not contain the identity")
     if any(K.neg(a) not in A for a in A):
         raise ValueError("connection set must be symmetric (A = -A)")
-    v = K.order
-    adj = np.zeros((v, v), dtype=np.int64)
-    for i, x in enumerate(K.elements):
-        for a in A:
-            adj[i, K.index(K.add(x, a))] = 1
+    adj = np.zeros((K.order, K.order), dtype=np.int64)
+    for a in A:                 # x - a over A is x + a over -A = A
+        adj[np.arange(K.order), K.minus(K.index(a))] = 1
     return Multigraph(adj)

@@ -42,7 +42,8 @@ def _require(cond, message):
 def _int_list(values, what):
     _require(isinstance(values, list), f"{what} must be a list")
     for v in values:
-        _require(isinstance(v, int) and not isinstance(v, bool), f"{what} entries must be integers")
+        _require(isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63,
+                 f"{what} entries must be integers in the int64 range")
     return list(values)
 
 

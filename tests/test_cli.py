@@ -159,6 +159,22 @@ def test_verify_malformed_json_is_input_error(workdir):
             cwd=workdir, expect=2)
 
 
+@pytest.mark.parametrize("name, doc", [
+    ("g.json", {"type": "multigraph", "n": 2, "nnz": [[0, 1, 2 ** 65]]}),
+    ("g.json", {"type": "multigraph", "n": 2, "adj": [[0, 2 ** 65], [2 ** 65, 0]]}),
+    ("c.json", {"type": "coloring", "colors": [0, 2 ** 65]}),
+])
+def test_verify_integer_beyond_int64_is_input_error(workdir, name, doc):
+    save(path_graph(2), workdir / "g.json")
+    (workdir / "c.json").write_text(json.dumps({"type": "coloring", "colors": [0, 1]}))
+    run_cli("verify", "coloring", "--graph", "g.json", "--coloring", "c.json",
+            cwd=workdir, expect=0)
+    (workdir / name).write_text(json.dumps(doc))
+    doc = run_json("verify", "coloring", "--graph", "g.json", "--coloring", "c.json",
+                   cwd=workdir, expect=2)
+    assert "int64" in doc["error"]
+
+
 def test_verify_wrong_kind_is_input_error(workdir):
     run_cli("verify", "design", "--design", "syl8.json", cwd=workdir, expect=2)
 

@@ -240,3 +240,124 @@ def test_verify_srg_matches_the_pair_scan(seed):
         expected = _first_srg_failure(G)
         got = (result.lam, result.mu) if result else (result.reason, result.witness)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# A scalar oracle that shares nothing with the index arrays: it walks pairs
+# of element tuples with K.sub and looks them up with K.index.
+
+ORACLE_GROUPS = [AbelianGroup(orders) for orders in
+                 ([2], [5], [12], [13], [2, 2, 2], [2] * 6, [2, 4], [3, 3], [4, 6, 3])]
+
+
+def _oracle_counts(K, D):
+    """counts[i]: pairs (d1, d2) of D with d1 - d2 = elements[i]."""
+    counts = [0] * len(K.elements)
+    for d1 in D:
+        for d2 in D:
+            counts[K.index(K.sub(d1, d2))] += 1
+    return counts
+
+
+def _oracle_pds(K, D):
+    """pds_params_from_set by a pair loop: first mismatch, D in its order."""
+    D = list(dict.fromkeys(D))
+    counts = _oracle_counts(K, D)
+    zero = K.sub(K.elements[0], K.elements[0])
+    params = []
+    for where, cls in (("inside", [e for e in D if e != zero]),
+                       ("outside", [e for e in K.elements if e != zero and e not in D])):
+        first = counts[K.index(cls[0])] if cls else 0
+        for e in cls[1:]:
+            if counts[K.index(e)] != first:
+                return NotPDS(f"difference counts differ {where} D",
+                              cls[0], first, e, counts[K.index(e)])
+        params.append(first)
+    return PDSParams(len(K.elements), len(D), *params)
+
+
+def _oracle_convolve(K, f, g):
+    return [sum(f[K.index(x)] * g[K.index(K.sub(y, x))] for x in K.elements)
+            for y in K.elements]
+
+
+@st.composite
+def group_and_set(draw):
+    K = draw(st.sampled_from(ORACLE_GROUPS))
+    return K, draw(st.lists(st.sampled_from(K.elements), max_size=2 * K.order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_set())
+def test_difference_counts_and_witness_match_the_pair_loop(case):
+    from pcolor.difference_sets import _difference_counts
+    K, D = case
+    idx = [K.index(d) for d in dict.fromkeys(D)]
+    assert _difference_counts(K, idx).tolist() == _oracle_counts(K, dict.fromkeys(D))
+    assert pds_params_from_set(K, D) == _oracle_pds(K, D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_convolve_matches_the_pair_loop(data):
+    K = data.draw(st.sampled_from(ORACLE_GROUPS))
+    values = st.lists(st.integers(-3, 3), min_size=K.order, max_size=K.order)
+    f, g = data.draw(values), data.draw(values)
+    got = convolve(GroupFunction(K, np.array(f)), GroupFunction(K, np.array(g)))
+    assert got.values.dtype == np.array(f).dtype
+    assert got.values.tolist() == _oracle_convolve(K, f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(group_and_set())
+def test_cayley_matches_the_pair_loop(case):
+    K, D = case
+    zero = K.sub(K.elements[0], K.elements[0])
+    A = {e for d in D for e in (d, K.sub(zero, d)) if e != zero}
+    expected = [[int(K.sub(y, x) in A) for y in K.elements] for x in K.elements]
+    assert cayley(K, sorted(A)).adj.tolist() == expected
+
+
+# (v, k, lambda) difference sets; their translates and complements are too.
+DIFFERENCE_SETS = [
+    ([7], [(1,), (2,), (4,)]),
+    ([13], [(0,), (1,), (3,), (9,)]),
+    ([11], [(1,), (3,), (4,), (5,), (9,)]),
+    ([4, 4], [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]),
+    ([2] * 4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+               (0, 0, 0, 1), (1, 1, 1, 1)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFFERENCE_SETS), st.integers(0, 2**16), st.booleans())
+def test_translate_blocks_match_the_pair_loop(case, shift, complement):
+    orders, D = case
+    K = AbelianGroup(orders)
+    t = K.elements[shift % K.order]
+    D = [K.sub(d, K.sub(K.elements[0], t)) for d in D]           # t + D
+    if complement:
+        D = [e for e in K.elements if e not in D]
+    blocks = [tuple(sorted(K.index(y) for y in K.elements if K.sub(x, y) in D))
+              for x in K.elements]
+    assert difference_set_to_symmetric_design(K, D).blocks == blocks
+
+
+def test_bent_to_difference_set_at_n_12_is_fast():
+    import time
+    from pcolor.bent import bent_to_difference_set
+    from pcolor.suites import maiorana_mcfarland
+    b = maiorana_mcfarland(12)
+    start = time.perf_counter()
+    B, params = bent_to_difference_set(b)
+    assert time.perf_counter() - start < 5
+    assert params == PDSParams(4096, 2080, 1056, 1056) and len(B) == b.weight() == 2080
+
+
+def test_cayley_paley_1009_matches_quadratic_residues():
+    p = 1009                                # 1 mod 4, so -1 is a square
+    is_square = np.zeros(p, dtype=np.int64)
+    is_square[np.arange(1, p) ** 2 % p] = 1
+    i = np.arange(p)
+    G = cayley(AbelianGroup([p]), [(s,) for s in np.flatnonzero(is_square)])
+    assert np.array_equal(G.adj, is_square[(i[:, None] - i[None, :]) % p])

@@ -13,9 +13,9 @@ from pcolor import (
     BlockDesign,
     HadamardMatrix,
     SubspaceDesign,
+    check_design,
     design_quotient_report,
     design_to_coloring,
-    design_violation,
     enumerate_subspaces,
     fano,
     hadamard_to_design,
@@ -25,7 +25,6 @@ from pcolor import (
     paley_hadamard,
     quotient_matrix,
     subspace_design_hypergraph,
-    subspace_design_quotient_report,
     subspace_design_to_coloring,
     sylvester,
     verify_design,
@@ -43,7 +42,7 @@ print("is a 2-(7,3,1) design:", verify_design(D))
 # Dropping a block leaves pairs covered 0 times, and the checker
 # reports the first one.
 broken = BlockDesign(n=7, k=3, t=2, lam=1, blocks=D.blocks[1:])
-print("after dropping a block:", design_violation(broken))
+print("after dropping a block:", check_design(broken).evidence["witness"])
 
 # ------------------------------------------- the block-membership coloring
 
@@ -85,7 +84,7 @@ print("spread is a 1-(4,2,1)_2 design:", verify_subspace_design(SD))
 # Its membership coloring satisfies the derived quotient on the
 # multigraph joining k-subspaces once per common t-subspace; the quoted
 # closed form again disagrees at t < k-1.
-rep = subspace_design_quotient_report(4, 2, 1, 1, 2)
+rep = design_quotient_report(4, 2, 1, 1, q=2)
 print("q-analog derived:", rep.actual.tolist(),
       "quoted:", rep.reference.tolist(), "agree:", rep.agree)
 HQ = subspace_design_hypergraph(4, 2, 1, 2)

@@ -22,7 +22,7 @@ import numpy as np
 from .difference_sets import PDSParams, verify_pds
 from .families import (AbelianGroup, enumerate_subspaces, grassmann,
                        int_to_vec, vec_to_int)
-from .multigraph import Coloring, QuotientMatrix, verify_quotient
+from .multigraph import Coloring, QuotientMatrix, Verdict, verify_quotient
 
 
 class BooleanFunction:
@@ -124,14 +124,17 @@ def is_bent(b):
     return bool(bent_rows(b.sign()[None])[0])
 
 
-def bent_violation(b):
-    """(y, c(y)) for the first y != 0 with a nonzero sign autoconvolution,
-    or None if b is bent; c(0) = 2^n, so every other b has such a y."""
+def check_bent(b):
+    """Exact bentness test (is_bent) with its evidence.
+
+    The witness is the first y != 0 with a nonzero sign autoconvolution
+    c(y); c(0) = 2^n, so every b that is not bent has one.
+    """
     if is_bent(b):
-        return None
+        return Verdict(True, {"n": b.n, "support_size": b.weight()})
     conv = sign_autoconvolution(b)
     y = int(np.flatnonzero(conv[1:])[0]) + 1
-    return y, int(conv[y])
+    return Verdict(False, {"witness": {"y": y, "autoconvolution": int(conv[y]), "expected": 0}})
 
 
 def _heavy_weight(n):

@@ -15,22 +15,20 @@ import numpy as np
 
 from . import serialize
 from .bent import (BooleanFunction, bent_to_difference_set,
-                   bent_to_grassmann_coloring, bent_violation,
+                   bent_to_grassmann_coloring, check_bent,
                    grassmann_coloring_to_bent)
-from .designs import (BlockDesign, HadamardMatrix, SubspaceDesign,
-                      design_to_coloring, design_violation, hadamard_to_design,
-                      hadamard_violation, subspace_design_violation)
-from .difference_sets import (NotPDS, difference_set_to_symmetric_design,
-                              pds_delta_coloring, pds_params_from_set,
-                              PDSParams, srg_gamma_coloring, verify_pds,
-                              verify_srg)
+from .designs import (BlockDesign, HadamardMatrix, SubspaceDesign, check_design,
+                      check_hadamard, check_subspace_design, design_to_coloring,
+                      hadamard_to_design)
+from .difference_sets import (difference_set_to_symmetric_design,
+                              pds_delta_coloring, PDSParams,
+                              srg_gamma_coloring, verify_pds, verify_srg)
 from .families import (AbelianGroup, cayley, delta_hypergraph, grassmann,
                        design_hypergraph, johnson, subspace_design_hypergraph,
                        int_to_vec, triangle_hypergraph, vec_to_int)
-from .hypergraphs import (Hypergraph, hypergraph_is_perfect,
-                          incidence_bipartite, line_multigraph, m12,
-                          transversal_violation)
-from .multigraph import Coloring, Multigraph, merge_colors, quotient_matrix
+from .hypergraphs import (Hypergraph, check_transversal, hypergraph_is_perfect,
+                          incidence_bipartite, line_multigraph, m12)
+from .multigraph import Coloring, Multigraph, Verdict, merge_colors, quotient_matrix
 from .spectral import OverFullVertex, check_dh_extremal
 from .suites import SUITES, run
 
@@ -54,11 +52,6 @@ def _plain(x):
 
 def _emit(report):
     print(json.dumps(_plain(report), indent=1))
-
-
-def _table(counts):
-    return [{"composition": list(comp), "count": int(c)}
-            for comp, c in sorted(counts.items())]
 
 
 class InputError(ValueError):
@@ -183,54 +176,27 @@ def cmd_build(args):
 
 # -------------------------------------------------------------- verify
 
+def _one_file(flag, kind, what, check):
+    """Verifier that loads the file given by --flag and runs `check` on it."""
+    return lambda args: check(_load_as(getattr(args, flag), kind, what))
+
+
 def _verify_coloring(args):
     G = _load_as(args.graph, Multigraph, "multigraph")
     f = _load_as(args.coloring, Coloring, "coloring")
     Q = quotient_matrix(G, f)
-    if not Q:
-        return False, {"witness": {"u": Q.u, "v": Q.v,
-                                   "profile_u": list(Q.profile_u),
-                                   "profile_v": list(Q.profile_v)}}
-    report = {"quotient": Q.tolist()}
-    if args.expect_quotient is not None:
-        expected = _parse_matrix(args.expect_quotient)
-        if Q != expected:
-            report["witness"] = {"actual": Q.tolist(), "expected": expected}
-            return False, report
-        report["expected"] = expected
-    return True, report
+    if not Q or args.expect_quotient is None:
+        return Q
+    expected = _parse_matrix(args.expect_quotient)
+    if Q != expected:
+        return Verdict(False, {**Q.evidence,
+                               "witness": {"actual": Q.tolist(), "expected": expected}})
+    return Verdict(True, {**Q.evidence, "expected": expected})
 
 
 def _verify_hypergraph_coloring(args):
     H = _load_as(args.hypergraph, Hypergraph, "hypergraph")
-    f = _load_as(args.coloring, Coloring, "coloring")
-    rep = hypergraph_is_perfect(H, f)
-    if not rep:
-        return False, {"witness": {"color": rep.color, "u": rep.u, "v": rep.v,
-                                   "table_u": _table(rep.table_u),
-                                   "table_v": _table(rep.table_v)}}
-    return True, {"tables": [_table(t) for t in rep.tables]}
-
-
-def _verify_design(args):
-    D = _load_as(args.design, BlockDesign, "design")
-    violation = design_violation(D)
-    if violation is not None:
-        T, count = violation
-        return False, {"witness": {"t_subset": list(T), "count": count,
-                                   "expected": D.lam}}
-    return True, {"parameters": [D.t, D.n, D.k, D.lam], "blocks": len(D.blocks)}
-
-
-def _verify_qdesign(args):
-    D = _load_as(args.design, SubspaceDesign, "qdesign")
-    violation = subspace_design_violation(D)
-    if violation is not None:
-        T, count = violation
-        return False, {"witness": {"t_subspace": T.basis.tolist(), "count": count,
-                                   "expected": D.lam}}
-    return True, {"parameters": [D.t, D.n, D.k, D.lam], "q": D.q,
-                  "subspaces": len(D.subspaces)}
+    return hypergraph_is_perfect(H, _load_as(args.coloring, Coloring, "coloring"))
 
 
 def _verify_transversal(args):
@@ -240,66 +206,22 @@ def _verify_transversal(args):
         raise InputError("vertex set and hypergraph sizes differ")
     if args.l is None or args.l < 0:
         raise InputError("transversal verification requires --l >= 0")
-    violation = transversal_violation(H, A, args.l)
-    if violation is not None:
-        edge, meets = violation
-        return False, {"witness": {"edge": list(edge), "meets": meets,
-                                   "expected": args.l}}
-    return True, {"l": args.l, "set_size": len(A), "edges": len(H.edges)}
+    return check_transversal(H, A, args.l)
 
 
 def _verify_pds(args):
-    K, D, file_params = _load_groupset(args.group)
-    params = file_params
+    K, D, params = _load_groupset(args.group)
     if args.params is not None:
         try:
             v, k, lam, mu = (int(tok) for tok in args.params.split(","))
         except ValueError:
             raise InputError("--params must be v,k,lam,mu") from None
         params = PDSParams(v=v, k=k, lam=lam, mu=mu)
-    inferred = pds_params_from_set(K, D)
-    if isinstance(inferred, NotPDS):
-        return False, {"witness": {"reason": inferred.reason,
-                                   "element_a": inferred.a, "count_a": inferred.count_a,
-                                   "element_b": inferred.b, "count_b": inferred.count_b}}
-    actual = [inferred.v, inferred.k, inferred.lam, inferred.mu]
-    if params is not None:
-        if not verify_pds(K, D, params):
-            return False, {"witness": {"expected": [params.v, params.k, params.lam, params.mu],
-                                       "actual": actual}}
-        return True, {"params": actual}
-    return True, {"params": actual, "note": "parameters inferred from the set"}
-
-
-def _verify_srg(args):
-    G = _load_as(args.graph, Multigraph, "multigraph")
-    result = verify_srg(G)
-    if not result:
-        return False, {"witness": {"reason": result.reason,
-                                   "pair": result.witness}}
-    return True, {"params": [result.v, result.k, result.lam, result.mu]}
-
-
-def _verify_bent(args):
-    b = _load_as(args.boolfun, BooleanFunction, "boolfun")
-    violation = bent_violation(b)
-    if violation is not None:
-        y, conv = violation
-        return False, {"witness": {"y": y, "autoconvolution": conv, "expected": 0}}
-    return True, {"n": b.n, "support_size": b.weight()}
-
-
-def _verify_hadamard(args):
-    H = _load_as(args.hadamard, HadamardMatrix, "hadamard")
-    violation = hadamard_violation(H)
-    if violation is not None:
-        i, j, dot = violation
-        return False, {"witness": {"rows": [i, j], "dot": dot,
-                                   "expected": H.order if i == j else 0}}
-    return True, {"order": H.order}
+    return verify_pds(K, D, params)
 
 
 def _verify_dh(args):
+    # bool(DHReport) is `extremal`; any report that was made verifies.
     G = _load_as(args.graph, Multigraph, "multigraph")
     n, A = _load_vertexset(args.set)
     if n != G.n:
@@ -307,40 +229,33 @@ def _verify_dh(args):
     if args.t is None:
         raise InputError("dh verification requires --t")
     try:
-        rep = check_dh_extremal(G, A, args.t)
+        return Verdict(True, check_dh_extremal(G, A, args.t).evidence)
     except OverFullVertex as exc:
-        return False, {"witness": {"vertex": exc.vertex,
-                                   "inner_degree": exc.inner_degree,
-                                   "max_allowed": exc.t}}
+        return Verdict(False, exc.evidence)
     except ValueError as exc:     # irregular graph, t out of range, empty set
         raise InputError(str(exc)) from exc
-    report = {"r": rep.r, "theta_min": rep.theta_min, "t": rep.t,
-              "bound": rep.bound, "bound_float": float(rep.bound),
-              "set_size": rep.set_size, "extremal": rep.extremal}
-    if rep.extremal:
-        report["quotient"] = rep.quotient_if_extremal.tolist()
-    return True, report
 
 
 _VERIFIERS = {
     "coloring": _verify_coloring,
     "hypergraph-coloring": _verify_hypergraph_coloring,
-    "design": _verify_design,
-    "q-design": _verify_qdesign,
+    "design": _one_file("design", BlockDesign, "design", check_design),
+    "q-design": _one_file("design", SubspaceDesign, "qdesign", check_subspace_design),
     "transversal": _verify_transversal,
     "pds": _verify_pds,
-    "srg": _verify_srg,
-    "bent": _verify_bent,
-    "hadamard": _verify_hadamard,
+    "srg": _one_file("graph", Multigraph, "multigraph", verify_srg),
+    "bent": _one_file("boolfun", BooleanFunction, "boolfun", check_bent),
+    "hadamard": _one_file("hadamard", HadamardMatrix, "hadamard", check_hadamard),
     "dh": _verify_dh,
 }
 
 
 def cmd_verify(args):
-    ok, report = _VERIFIERS[args.kind](args)
-    report = {"kind": args.kind, "ok": ok, **report}
-    _emit(report)
-    return 0 if ok else 1
+    # Each verifier returns its library result: truth is the verdict, and
+    # .evidence the rest of the report.
+    result = _VERIFIERS[args.kind](args)
+    _emit({"kind": args.kind, "ok": bool(result), **result.evidence})
+    return 0 if result else 1
 
 
 # -------------------------------------------------------------- bridge

@@ -26,7 +26,7 @@ import numpy as np
 from .families import (Subspace, _binom, _design_multigraph, _objects,
                        containment, enumerate_subspaces, gaussian_binomial,
                        point_incidence)
-from .multigraph import Coloring, QuotientMatrix
+from .multigraph import Coloring, QuotientMatrix, Verdict
 from .spectral import check_dh_extremal
 
 
@@ -45,6 +45,8 @@ class BlockDesign:
         for b in self.blocks:
             if len(b) != self.k or len(set(b)) != self.k:
                 raise ValueError("every block must have k distinct members")
+            if not b:
+                raise ValueError("blocks must be nonempty")
             if b[0] < 0 or b[-1] >= self.n:
                 raise ValueError("block member out of range")
 
@@ -66,10 +68,11 @@ class SubspaceDesign:
                 raise ValueError("members must be k-subspaces of the same ambient space")
 
 
-def design_violation(D):
-    """First t-subset covered by the wrong number of blocks, or None.
+def check_design(D):
+    """Whether every t-subset lies in exactly lambda blocks, with evidence.
 
-    Returns (t_subset, count) for the lexicographically first violation.
+    The witness is the lexicographically first t-subset covered by the
+    wrong number of blocks.
 
     A bitmask loop, not a containment product: at 2-(255,127,63) that needs
     a 32,385 x 255 incidence and 2.1 G int64 multiply-adds, which numpy runs
@@ -80,94 +83,37 @@ def design_violation(D):
         tmask = sum(1 << v for v in T)
         count = sum((m & tmask) == tmask for m in masks)
         if count != D.lam:
-            return T, count
-    return None
+            return Verdict(False, {"witness": {"t_subset": list(T), "count": count,
+                                               "expected": D.lam}})
+    return Verdict(True, {"parameters": [D.t, D.n, D.k, D.lam], "blocks": len(D.blocks)})
 
 
 def verify_design(D):
     """True iff every t-subset lies in exactly lambda blocks."""
-    return design_violation(D) is None
+    return bool(check_design(D))
 
 
-def subspace_design_violation(D):
-    """First t-subspace covered by the wrong number of members, or None.
+def check_subspace_design(D):
+    """Whether every t-subspace lies in exactly lambda members, with evidence.
 
-    Returns (subspace, count) in canonical enumeration order.
+    The witness is the first t-subspace, in canonical enumeration order,
+    covered by the wrong number of members, given by its RREF basis.
     """
     tspaces = enumerate_subspaces(D.n, D.t, D.q)
     counts = containment(point_incidence(tspaces, D.n, D.q),
                          point_incidence(D.subspaces, D.n, D.q),
                          gaussian_binomial(D.t, 1, D.q)).sum(axis=1)
     bad = np.flatnonzero(counts != D.lam)
-    return (tspaces[bad[0]], int(counts[bad[0]])) if bad.size else None
+    if bad.size:
+        return Verdict(False, {"witness": {"t_subspace": tspaces[bad[0]].basis.tolist(),
+                                           "count": int(counts[bad[0]]), "expected": D.lam}})
+    return Verdict(True, {"parameters": [D.t, D.n, D.k, D.lam], "q": D.q,
+                          "subspaces": len(D.subspaces)})
 
 
 def verify_subspace_design(D):
     """True iff every t-subspace lies in exactly lambda member subspaces."""
-    return subspace_design_violation(D) is None
-
-
-# One body for block designs (q None) and subspace designs (prime q).
-
-def _quotient_actual(n, k, t, lam, q):
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    R, K = _binom(k, t, q), _binom(n - t, k - t, q)
-    if not 0 < lam <= K:
-        raise ValueError("lambda must satisfy 0 < lambda <= max block count per t-set")
-    if lam == K:
-        # complement color class empty: the design is everything, one color
-        return QuotientMatrix([[(lam - 1) * R]])
-    return QuotientMatrix([[(lam - 1) * R, (K - lam) * R],
-                           [lam * R, (K - 1 - lam) * R]])
-
-
-def _quotient_reference(n, k, t, lam, q):
-    if not 0 < t < k < n:
-        raise ValueError("requires 0 < t < k < n")
-    R, C = _binom(k, t, q), _binom(n - k, k - t, q)
-    if lam == C + 1:
-        return QuotientMatrix([[(lam - 1) * R]])
-    return QuotientMatrix([[(lam - 1) * R, (C - lam + 1) * R],
-                           [lam * R, (C - lam) * R]])
-
-
-def _quotient_report(n, k, t, lam, q):
-    a, r = _quotient_actual(n, k, t, lam, q), _quotient_reference(n, k, t, lam, q)
-    return QuotientComparison(a, r, a == r)
-
-
-def design_quotient_actual(n, k, t, lam):
-    """Quotient a true t-(n,k,lambda) design's indicator verifies.
-
-    R = C(k,t), K = C(n-t,k-t); on johnson_design_multigraph(n,k,t).
-    Degenerate lambda = K (all blocks) returns the 1x1 monochromatic case.
-    """
-    return _quotient_actual(n, k, t, lam, None)
-
-
-def design_quotient_reference(n, k, t, lam):
-    """The commonly quoted closed form, kept verbatim for comparison.
-
-    Valid only at t = k-1; for t < k-1 it disagrees with the brute-force
-    quotient (see design_quotient_report).
-    """
-    return _quotient_reference(n, k, t, lam, None)
-
-
-def subspace_design_quotient_actual(n, k, t, lam, q):
-    """Quotient a true t-(n,k,lambda)_q design's indicator verifies.
-
-    R = [k t]_q, K = [n-t k-t]_q; on the loopless m12 of the k-subspace
-    hypergraph grouped by t-subspaces.
-    """
-    return _quotient_actual(n, k, t, lam, q)
-
-
-def subspace_design_quotient_reference(n, k, t, lam, q):
-    """Subspace analog of the quoted closed form; disagrees with the
-    brute-force quotient even at t = k-1 (see the spread example)."""
-    return _quotient_reference(n, k, t, lam, q)
+    return bool(check_subspace_design(D))
 
 
 @dataclass
@@ -179,12 +125,29 @@ class QuotientComparison:
     agree: bool
 
 
-def design_quotient_report(n, k, t, lam):
-    return _quotient_report(n, k, t, lam, None)
+def design_quotient_report(n, k, t, lam, q=None):
+    """Derived and quoted quotient of a t-(n,k,lambda) design's indicator.
 
-
-def subspace_design_quotient_report(n, k, t, lam, q):
-    return _quotient_report(n, k, t, lam, q)
+    One body for block designs (q None, binomials) and subspace designs
+    (prime q, Gaussian binomials).  `actual` is the quotient a true design
+    verifies, with R = [k t] and K = [n-t k-t], on
+    johnson_design_multigraph(n,k,t) or on the loopless m12 of the
+    k-subspace hypergraph grouped by t-subspaces; the degenerate
+    lambda = K (all blocks) gives the 1x1 monochromatic case.  `reference`
+    is the commonly quoted closed form, with [n-k k-t] in place of K-1,
+    kept verbatim: it agrees only for block designs at t = k-1.
+    """
+    if not 0 < t < k < n:
+        raise ValueError("requires 0 < t < k < n")
+    R, K, C = _binom(k, t, q), _binom(n - t, k - t, q), _binom(n - k, k - t, q)
+    if not 0 < lam <= K:
+        raise ValueError("lambda must satisfy 0 < lambda <= max block count per t-set")
+    # The complement color class is empty when every k-object is a block.
+    actual = QuotientMatrix([[(lam - 1) * R]] if lam == K else
+                            [[(lam - 1) * R, (K - lam) * R], [lam * R, (K - 1 - lam) * R]])
+    reference = QuotientMatrix([[(lam - 1) * R]] if lam == C + 1 else
+                               [[(lam - 1) * R, (C - lam + 1) * R], [lam * R, (C - lam) * R]])
+    return QuotientComparison(actual, reference, actual == reference)
 
 
 def _indicator(D, members, q, G, empty, mismatch):
@@ -250,24 +213,25 @@ class HadamardMatrix:
         return f"HadamardMatrix(order={self.order})"
 
 
-def hadamard_violation(H):
-    """First entry of H H^T that differs from n I, or None.
+def check_hadamard(H):
+    """Whether H H^T = n I, with evidence (exact integer arithmetic).
 
-    Returns (i, j, dot) for the first offending row pair in row-major
-    order (exact integer arithmetic).
+    The witness is the first entry of H H^T, in row-major order, that
+    differs from n I.
     """
     n = H.order
     gram = H.mat @ H.mat.T
     bad = np.argwhere(gram != n * np.eye(n, dtype=np.int64))
     if not bad.size:
-        return None
+        return Verdict(True, {"order": n})
     i, j = (int(x) for x in bad[0])
-    return i, j, int(gram[i, j])
+    return Verdict(False, {"witness": {"rows": [i, j], "dot": int(gram[i, j]),
+                                       "expected": n if i == j else 0}})
 
 
 def verify_hadamard(H):
     """True iff H H^T = n I (exact integer arithmetic)."""
-    return hadamard_violation(H) is None
+    return bool(check_hadamard(H))
 
 
 def sylvester(order):

@@ -19,13 +19,13 @@ G is a perfect 2-coloring of the triangle hypergraph exactly when G is
 strongly regular.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .designs import BlockDesign, verify_design
 from .families import AbelianGroup, ksubsets, triangle_hypergraph
-from .multigraph import Coloring
+from .multigraph import Coloring, Verdict
 
 
 class GroupFunction:
@@ -75,6 +75,10 @@ class PDSParams:
     lam: int
     mu: int
 
+    @property
+    def evidence(self):
+        return {"params": list(astuple(self))}
+
 
 @dataclass(frozen=True)
 class NotPDS:
@@ -89,6 +93,11 @@ class NotPDS:
 
     def __bool__(self):
         return False
+
+    @property
+    def evidence(self):
+        return {"witness": {"reason": self.reason, "element_a": self.a, "count_a": self.count_a,
+                            "element_b": self.b, "count_b": self.count_b}}
 
 
 def _difference_counts(K, D):
@@ -124,21 +133,15 @@ def pds_params_from_set(K, D):
     return PDSParams(v=K.order, k=len(D), lam=params[0], mu=params[1])
 
 
-def verify_pds(K, D, params):
-    """Check a partial difference set against given parameters.
+def _convolution_holds(K, D, params):
+    """The convolution identity of the module docstring, with unit delta.
 
-    Runs both the pair-count definition and the convolution identity
-    (with unit delta); the identity is checked at every nonzero element,
-    and at the identity as well unless 0 is in D with lambda != mu, the
-    one point where the two formulations legitimately diverge.  The two
-    routes must agree on all compared points.
+    It is checked at every nonzero element, and at the identity as well
+    unless 0 is in D with lambda != mu, the one point where it and the
+    pair counts legitimately diverge.  An empty class makes its parameter
+    0, as in pds_params_from_set: no element pins it, since at the
+    identity lambda and mu cancel whenever they are compared.
     """
-    D = list(dict.fromkeys(K.coerce(D)))
-    if params.v != K.order or params.k != len(D):
-        return False
-    direct = pds_params_from_set(K, D)
-    direct_ok = bool(direct) and direct == params
-
     chi = GroupFunction.indicator(K, D)
     neg = np.zeros(K.order, dtype=np.int64)
     neg[[K.minus(K.index(d))[0] for d in D]] = 1        # -d = 0 - d
@@ -146,16 +149,39 @@ def verify_pds(K, D, params):
     delta = GroupFunction.unit_delta(K)
     rhs = (params.lam * chi.values + params.mu * (1 - chi.values)
            + (params.k - params.mu) * delta.values)
-    skip_identity = K.zero in set(D) and params.lam != params.mu
+    zero = K.index(K.zero)
     mask = np.ones(K.order, dtype=bool)
-    if skip_identity:
-        mask[K.index(K.zero)] = False
-    conv_ok = bool((conv.values[mask] == rhs[mask]).all())
+    if chi.values[zero] and params.lam != params.mu:
+        mask[zero] = False
+    nonzero = np.delete(chi.values, zero)
+    return (bool((conv.values[mask] == rhs[mask]).all())
+            and (nonzero.any() or params.lam == 0)
+            and (not nonzero.all() or params.mu == 0))
 
-    if direct_ok != conv_ok:
-        raise RuntimeError("pair-count and convolution checks disagree; "
-                           "this is a bug, not a property of the input")
-    return direct_ok
+
+def verify_pds(K, D, params=None):
+    """Whether D is a partial difference set, with given parameters if any.
+
+    The pair counts of pds_params_from_set decide, and an empty class
+    makes its parameter 0.  Given `params`, the convolution identity is
+    run as well when v and k match, and the two routes must agree.  The
+    evidence is the parameters, or a witness: the pair-count mismatch, or
+    the expected and actual parameters.
+    """
+    D = list(dict.fromkeys(K.coerce(D)))
+    inferred = pds_params_from_set(K, D)
+    if params is not None and (params.v, params.k) == (K.order, len(D)):
+        if (bool(inferred) and inferred == params) != _convolution_holds(K, D, params):
+            raise RuntimeError("pair-count and convolution checks disagree; "
+                               "this is a bug, not a property of the input")
+    if not inferred:
+        return Verdict(False, inferred.evidence)
+    if params is None:
+        return Verdict(True, {**inferred.evidence, "note": "parameters inferred from the set"})
+    if inferred != params:
+        return Verdict(False, {"witness": {"expected": list(astuple(params)),
+                                           "actual": list(astuple(inferred))}})
+    return Verdict(True, inferred.evidence)
 
 
 @dataclass(frozen=True)
@@ -165,6 +191,10 @@ class SRGParams:
     lam: int
     mu: int
 
+    @property
+    def evidence(self):
+        return {"params": list(astuple(self))}
+
 
 @dataclass(frozen=True)
 class NotSRG:
@@ -173,6 +203,10 @@ class NotSRG:
 
     def __bool__(self):
         return False
+
+    @property
+    def evidence(self):
+        return {"witness": {"reason": self.reason, "pair": self.witness}}
 
 
 def _connected(adj):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multigraph import Coloring, Multigraph, QuotientMatrix, quotient_matrix, verify_quotient
+from .multigraph import (Coloring, Multigraph, QuotientMatrix, Verdict, quotient_matrix,
+                         verify_quotient)
 
 
 class Hypergraph:
@@ -137,6 +138,12 @@ def _vertex_tables(H, f):
     return tables
 
 
+def _table(counts):
+    """A composition table as JSON-ready rows, in composition order."""
+    return [{"composition": list(comp), "count": int(c)}
+            for comp, c in sorted(counts.items())]
+
+
 @dataclass
 class PerfectHypergraphReport:
     """Per-color composition tables of a perfect hypergraph coloring."""
@@ -145,6 +152,10 @@ class PerfectHypergraphReport:
 
     def __bool__(self):
         return True
+
+    @property
+    def evidence(self):
+        return {"tables": [_table(t) for t in self.tables]}
 
 
 @dataclass(frozen=True)
@@ -159,6 +170,11 @@ class NotPerfect:
 
     def __bool__(self):
         return False
+
+    @property
+    def evidence(self):
+        return {"witness": {"color": self.color, "u": self.u, "v": self.v,
+                            "table_u": _table(self.table_u), "table_v": _table(self.table_v)}}
 
 
 def hypergraph_is_perfect(H, f):
@@ -226,10 +242,11 @@ def restrict_bipartite_coloring(B, f):
     return restricted, product
 
 
-def transversal_violation(H, A, l):
-    """First hyperedge meeting A in other than l vertices, or None.
+def check_transversal(H, A, l):
+    """Whether every hyperedge meets A in exactly l vertices, with evidence.
 
-    Returns (edge, meets) for the first such hyperedge in edge order.
+    The witness is the first hyperedge, in edge order, meeting A in other
+    than l vertices.
     """
     A = set(int(v) for v in A)
     if not A <= set(range(H.n)):
@@ -237,13 +254,13 @@ def transversal_violation(H, A, l):
     for e in H.edges:
         meets = sum(v in A for v in e)
         if meets != l:
-            return e, meets
-    return None
+            return Verdict(False, {"witness": {"edge": list(e), "meets": meets, "expected": l}})
+    return Verdict(True, {"l": l, "set_size": len(A), "edges": len(H.edges)})
 
 
 def verify_transversal(H, A, l):
     """True iff every hyperedge meets A in exactly l vertices."""
-    return transversal_violation(H, A, l) is None
+    return bool(check_transversal(H, A, l))
 
 
 def transversal_quotient(k, r, l):

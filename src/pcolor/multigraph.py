@@ -158,8 +158,25 @@ class QuotientMatrix:
     def __bool__(self):
         return True
 
+    @property
+    def evidence(self):
+        return {"quotient": self.tolist()}
+
     def __repr__(self):
         return f"QuotientMatrix({self.S.tolist()})"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Answer of a check: bool(verdict) is `ok`, and `evidence` is the
+    JSON-ready dict behind it, a certificate when ok and a dict holding a
+    "witness" when not."""
+
+    ok: bool
+    evidence: dict
+
+    def __bool__(self):
+        return self.ok
 
 
 @dataclass(frozen=True)
@@ -176,6 +193,11 @@ class NotEquitable:
 
     def __bool__(self):
         return False
+
+    @property
+    def evidence(self):
+        return {"witness": {"u": self.u, "v": self.v, "profile_u": list(self.profile_u),
+                            "profile_v": list(self.profile_v)}}
 
 
 def quotient_matrix(G, f):
@@ -199,11 +221,6 @@ def quotient_matrix(G, f):
                                 tuple(rows[0].tolist()), tuple(MF[v].tolist()))
         S[i] = rows[0]
     return QuotientMatrix(S)
-
-
-def is_perfect(G, f):
-    """True iff the coloring is equitable (MF = FS has a solution S)."""
-    return bool(quotient_matrix(G, f))
 
 
 def verify_quotient(G, f, expected):

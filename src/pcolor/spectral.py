@@ -87,6 +87,11 @@ class OverFullVertex(ValueError):
         self.inner_degree = inner_degree
         self.t = t
 
+    @property
+    def evidence(self):
+        return {"witness": {"vertex": self.vertex, "inner_degree": self.inner_degree,
+                            "max_allowed": self.t}}
+
 
 @dataclass
 class DHReport:
@@ -102,6 +107,16 @@ class DHReport:
 
     def __bool__(self):
         return self.extremal
+
+    @property
+    def evidence(self):
+        """The report as a dict (`bound` stays exact); an extremal set adds its quotient."""
+        fields = {"r": self.r, "theta_min": self.theta_min, "t": self.t, "bound": self.bound,
+                  "bound_float": float(self.bound), "set_size": self.set_size,
+                  "extremal": self.extremal}
+        if self.extremal:
+            fields["quotient"] = self.quotient_if_extremal.tolist()
+        return fields
 
 
 def check_dh_extremal(G, A, t):

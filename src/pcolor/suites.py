@@ -18,9 +18,8 @@ from .bent import (BooleanFunction, bent_rows, bent_to_grassmann_coloring,
                    merged_two_coloring_matrix, theorem_avg_matrix)
 from .designs import (SubspaceDesign, design_quotient_report, design_to_coloring,
                       fano, hadamard_to_design, paley_hadamard,
-                      steiner_independence_check, subspace_design_quotient_report,
-                      subspace_design_to_coloring, sylvester, verify_design,
-                      verify_subspace_design)
+                      steiner_independence_check, subspace_design_to_coloring,
+                      sylvester, verify_design, verify_subspace_design)
 from .difference_sets import (cayley_srg_bridge, pds_params_from_set,
                               srg_gamma_coloring, verify_pds, verify_srg)
 from .families import (AbelianGroup, cayley, enumerate_subspaces, grassmann,
@@ -375,7 +374,7 @@ def suite_ac10(seed=0):
     r1 = design_quotient_report(8, 4, 1, 1)
     if r1.agree or r1.actual != [[0, 136], [4, 132]] or r1.reference != [[0, 16], [4, 12]]:
         return False, f"(8,4,1): actual {r1.actual}, reference {r1.reference}, agree={r1.agree}"
-    r2 = subspace_design_quotient_report(4, 2, 1, 1, 2)
+    r2 = design_quotient_report(4, 2, 1, 1, 2)
     if r2.agree or r2.actual != [[0, 18], [3, 15]] or r2.reference != [[0, 9], [3, 6]]:
         return False, f"1-(4,2,1)_2: actual {r2.actual}, reference {r2.reference}, agree={r2.agree}"
     r3 = design_quotient_report(7, 3, 2, 1)

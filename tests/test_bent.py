@@ -11,7 +11,7 @@ from pcolor import (
     bent_delta_coloring,
     bent_to_difference_set,
     bent_to_grassmann_coloring,
-    bent_violation,
+    check_bent,
     delta_hypergraph,
     grassmann,
     grassmann_coloring_to_bent,
@@ -322,11 +322,15 @@ def test_autoconvolution_zero_coordinate_is_2n(code):
 
 
 def test_bent_violation_is_the_first_nonzero_shift():
-    assert bent_violation(BooleanFunction.from_string("0001")) is None
-    assert bent_violation(BooleanFunction.from_string("0" * 16)) == (1, 16)
+    assert check_bent(BooleanFunction.from_string("0001")).evidence == {"n": 2, "support_size": 1}
+    assert check_bent(BooleanFunction.from_string("0" * 16)).evidence["witness"] == {
+        "y": 1, "autoconvolution": 16, "expected": 0}
     for code in range(1 << 8):
         b = BooleanFunction([(code >> i) & 1 for i in range(8)])
         conv = sign_autoconvolution(b)
         nonzero = [y for y in range(1, 8) if conv[y]]
-        assert bent_violation(b) == ((nonzero[0], int(conv[nonzero[0]])) if nonzero else None)
-        assert (bent_violation(b) is None) == is_bent(b)
+        verdict = check_bent(b)
+        assert verdict.evidence.get("witness") == (
+            {"y": nonzero[0], "autoconvolution": int(conv[nonzero[0]]), "expected": 0}
+            if nonzero else None)
+        assert bool(verdict) == is_bent(b)

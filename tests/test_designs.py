@@ -9,24 +9,19 @@ from pcolor import (
     Coloring,
     HadamardMatrix,
     SubspaceDesign,
-    design_quotient_actual,
-    design_quotient_reference,
+    check_design,
+    check_hadamard,
+    check_subspace_design,
     design_quotient_report,
     design_to_coloring,
-    design_violation,
     enumerate_subspaces,
     fano,
     hadamard_to_design,
-    hadamard_violation,
     johnson,
     johnson_design_multigraph,
     paley_hadamard,
     steiner_independence_check,
-    subspace_design_quotient_actual,
-    subspace_design_quotient_reference,
-    subspace_design_quotient_report,
     subspace_design_to_coloring,
-    subspace_design_violation,
     sylvester,
     verify_design,
     verify_hadamard,
@@ -38,8 +33,8 @@ from pcolor.suites import find_spread
 
 def test_fano_verifies():
     D = fano()
-    assert verify_design(D)
-    assert design_violation(D) is None
+    assert verify_design(D) is True
+    assert check_design(D).evidence == {"parameters": [2, 7, 3, 1], "blocks": 7}
     assert len(D.blocks) == 7
 
 
@@ -50,6 +45,8 @@ def test_block_design_validation():
         BlockDesign(7, 3, 2, 1, [(0, 1, 9)])        # out of range
     with pytest.raises(ValueError):
         BlockDesign(7, 3, 2, 1, [(0, 0, 1)])        # repeated member
+    with pytest.raises(ValueError, match="nonempty"):
+        BlockDesign(7, 0, 0, 1, [()])               # empty block
     D = BlockDesign(4, 2, 1, 1, [(3, 0)])
     assert D.blocks == [(0, 3)]                      # sorted on input
 
@@ -57,9 +54,13 @@ def test_block_design_validation():
 def test_design_violation_witness():
     D = fano()
     broken = BlockDesign(7, 3, 2, 1, D.blocks[1:])
-    T, count = design_violation(broken)
-    assert T == (0, 1) and count == 0
+    assert check_design(broken).evidence["witness"] == {"t_subset": [0, 1], "count": 0,
+                                                        "expected": 1}
     assert not verify_design(broken)
+    # over-covering: the repeated first block covers (0, 1) twice
+    repeated = BlockDesign(7, 3, 2, 1, D.blocks[:1] + D.blocks)
+    assert check_design(repeated).evidence["witness"] == {"t_subset": [0, 1], "count": 2,
+                                                          "expected": 1}
 
 
 def test_one_design_from_partition():
@@ -77,11 +78,9 @@ def test_design_quotient_fano_case():
 
 def test_design_quotient_errata_case():
     # at t < k-1 the quoted closed form undercounts the second color class
-    actual = design_quotient_actual(8, 4, 1, 1)
-    reference = design_quotient_reference(8, 4, 1, 1)
-    assert actual == [[0, 136], [4, 132]]
-    assert reference == [[0, 16], [4, 12]]
     report = design_quotient_report(8, 4, 1, 1)
+    assert report.actual == [[0, 136], [4, 132]]
+    assert report.reference == [[0, 16], [4, 12]]
     assert not report.agree
 
 
@@ -90,8 +89,9 @@ def test_design_quotient_brute_force_confirms_actual():
     D = BlockDesign(8, 4, 1, 1, [(0, 1, 2, 3), (4, 5, 6, 7)])
     G = johnson_design_multigraph(8, 4, 1)
     f = design_to_coloring(D, G)
-    assert verify_quotient(G, f, design_quotient_actual(8, 4, 1, 1))
-    assert not verify_quotient(G, f, design_quotient_reference(8, 4, 1, 1))
+    report = design_quotient_report(8, 4, 1, 1)
+    assert verify_quotient(G, f, report.actual)
+    assert not verify_quotient(G, f, report.reference)
 
 
 def test_fano_coloring_on_johnson():
@@ -122,17 +122,17 @@ def test_spread_is_a_subspace_design():
     assert spread is not None and len(spread) == 5
     D = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=spread)
     assert verify_subspace_design(D)
-    assert subspace_design_violation(D) is None
+    assert check_subspace_design(D)
 
 
 def test_subspace_design_violation_witness():
     subs = enumerate_subspaces(4, 2, 2)
     spread = find_spread(subs)
     broken = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=spread[1:])
-    violation = subspace_design_violation(broken)
-    assert violation is not None
-    T, count = violation
-    assert T.k == 1 and count == 0
+    verdict = check_subspace_design(broken)
+    assert not verdict
+    witness = verdict.evidence["witness"]
+    assert len(witness["t_subspace"]) == 1 and witness["count"] == 0
 
 
 def test_subspace_design_validation():
@@ -144,11 +144,10 @@ def test_subspace_design_validation():
 
 
 def test_spread_quotient_errata_case():
-    actual = subspace_design_quotient_actual(4, 2, 1, 1, 2)
-    reference = subspace_design_quotient_reference(4, 2, 1, 1, 2)
-    assert actual == [[0, 18], [3, 15]]
-    assert reference == [[0, 9], [3, 6]]
-    assert not subspace_design_quotient_report(4, 2, 1, 1, 2).agree
+    report = design_quotient_report(4, 2, 1, 1, 2)
+    assert report.actual == [[0, 18], [3, 15]]
+    assert report.reference == [[0, 9], [3, 6]]
+    assert not report.agree
 
 
 def test_spread_independence_check():
@@ -189,14 +188,18 @@ def test_hadamard_validation():
 
 
 def test_hadamard_violation_witness():
-    assert hadamard_violation(sylvester(8)) is None
-    assert hadamard_violation(HadamardMatrix([[1, 1], [1, 1]])) == (0, 1, 2)
+    def witness(mat):
+        return check_hadamard(HadamardMatrix(mat)).evidence["witness"]
+
+    assert check_hadamard(sylvester(8)).evidence == {"order": 8}
+    assert verify_hadamard(sylvester(8)) is True
+    assert witness([[1, 1], [1, 1]]) == {"rows": [0, 1], "dot": 2, "expected": 0}
     mat = sylvester(8).mat.copy()
     mat[0, 7] = -1                      # row 0 now meets row 1 in dot product 2
-    assert hadamard_violation(HadamardMatrix(mat)) == (0, 1, 2)
+    assert witness(mat) == {"rows": [0, 1], "dot": 2, "expected": 0}
     mat = sylvester(8).mat.copy()
     mat[6, 0] = -1                      # rows 0..5 and 7 now meet row 6 in -2
-    assert hadamard_violation(HadamardMatrix(mat)) == (0, 6, -2)
+    assert witness(mat) == {"rows": [0, 6], "dot": -2, "expected": 0}
 
 
 def test_paley_hadamard():

@@ -1,5 +1,7 @@
 """Tests for partial difference sets, strong regularity, and their bridges."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,35 @@ def test_pds_witness():
     W = pds_params_from_set(K, [(1,), (2,)])
     assert isinstance(W, NotPDS) and not W
     assert W.reason == "difference counts differ inside D"
+
+
+def test_pds_empty_class_makes_its_parameter_zero():
+    K = AbelianGroup([5])
+    # no nonzero non-member, so mu is 0 and a given mu = 7 is a mismatch
+    nonzero = [(1,), (2,), (3,), (4,)]
+    assert verify_pds(K, nonzero, PDSParams(5, 4, 3, 7)).evidence == {
+        "witness": {"expected": [5, 4, 3, 7], "actual": [5, 4, 3, 0]}}
+    assert verify_pds(K, nonzero, PDSParams(5, 4, 3, 0))
+    whole = [(x,) for x in range(5)]
+    assert not verify_pds(K, whole, PDSParams(5, 5, 5, 5))
+    assert verify_pds(K, whole, PDSParams(5, 5, 5, 0))
+    # no nonzero member, so lambda is 0
+    assert not verify_pds(K, [(0,)], PDSParams(5, 1, 3, 0))
+    # the empty set has (5, 0, 0, 0), and its translates are empty blocks
+    with pytest.raises(ValueError, match="nonempty"):
+        difference_set_to_symmetric_design(K, [])
+
+
+def test_pds_routes_agree_on_every_small_set():
+    # verify_pds raises if its pair-count and convolution routes disagree
+    for orders in ([2], [3], [4], [5], [6], [2, 2]):
+        K = AbelianGroup(orders)
+        for r in range(K.order + 1):
+            for D in itertools.combinations(K.elements, r):
+                inferred = pds_params_from_set(K, D)
+                for lam, mu in itertools.product(range(r + 1), repeat=2):
+                    params = PDSParams(K.order, r, lam, mu)
+                    assert bool(verify_pds(K, D, params)) == (inferred == params)
 
 
 def test_pds_paley_13():

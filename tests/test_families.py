@@ -13,6 +13,7 @@ from pcolor import (
     Subspace,
     SubspaceDesign,
     cayley,
+    check_subspace_design,
     complete_graph,
     cycle_graph,
     delta_edge_to_subspace,
@@ -31,7 +32,6 @@ from pcolor import (
     petersen,
     rref_gf,
     subspace_design_hypergraph,
-    subspace_design_violation,
     triangle_hypergraph,
     vec_to_int,
     verify_srg,
@@ -415,7 +415,7 @@ def _first_violation(D):
     for T in enumerate_subspaces(D.n, D.t, D.q):
         count = sum(U.contains(T) for U in D.subspaces)
         if count != D.lam:
-            return T, count
+            return {"t_subspace": T.basis.tolist(), "count": count, "expected": D.lam}
     return None
 
 
@@ -423,11 +423,12 @@ def test_subspace_design_violation_matches_containment():
     lines = enumerate_subspaces(4, 2, 2)
     spread = find_spread(lines)
     D = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=spread)
-    assert subspace_design_violation(D) is None
+    assert check_subspace_design(D) and _first_violation(D) is None
     outside = next(L for L in lines if L not in spread)
     swapped = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2,
                              subspaces=[outside] + spread[1:])
-    violation = subspace_design_violation(swapped)
-    assert violation == _first_violation(swapped) and violation[1] != 1
+    witness = check_subspace_design(swapped).evidence["witness"]
+    assert witness == _first_violation(swapped) and witness["count"] != 1
     empty = SubspaceDesign(n=4, k=2, t=1, lam=1, q=2, subspaces=[])
-    assert subspace_design_violation(empty) == (enumerate_subspaces(4, 1, 2)[0], 0)
+    assert check_subspace_design(empty).evidence["witness"] == {
+        "t_subspace": enumerate_subspaces(4, 1, 2)[0].basis.tolist(), "count": 0, "expected": 1}

@@ -9,6 +9,7 @@ from pcolor import (
     Coloring,
     Hypergraph,
     NotPerfect,
+    check_transversal,
     delta_hypergraph,
     design_hypergraph,
     fano,
@@ -21,7 +22,6 @@ from pcolor import (
     quotient_matrix,
     restrict_bipartite_coloring,
     transversal_quotient,
-    transversal_violation,
     triangle_hypergraph,
     verify_quotient,
     verify_transversal,
@@ -184,11 +184,13 @@ def test_verify_transversal():
 def test_transversal_violation_witness():
     H = triangle_hypergraph(4)          # edges (0,1,3), (0,2,4), (1,2,5), (3,4,5)
     matching = [0, 5]                   # the pairs {0,1} and {2,3}
-    assert transversal_violation(H, matching, 1) is None
-    assert transversal_violation(H, matching, 2) == ((0, 1, 3), 1)
-    assert transversal_violation(H, [0], 1) == ((1, 2, 5), 0)
+    assert check_transversal(H, matching, 1).evidence == {"l": 1, "set_size": 2, "edges": 4}
+    assert check_transversal(H, matching, 2).evidence["witness"] == {
+        "edge": [0, 1, 3], "meets": 1, "expected": 2}
+    assert check_transversal(H, [0], 1).evidence["witness"] == {
+        "edge": [1, 2, 5], "meets": 0, "expected": 1}
     with pytest.raises(ValueError):
-        transversal_violation(H, [17], 1)
+        check_transversal(H, [17], 1)
 
 
 def test_transversal_quotient_formula():

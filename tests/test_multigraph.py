@@ -13,7 +13,6 @@ from pcolor import (
     QuotientMatrix,
     complete_graph,
     cycle_graph,
-    is_perfect,
     lift_quotient_eigenvector,
     merge_colors,
     path_graph,
@@ -111,6 +110,12 @@ def test_quotient_witness():
     assert tuple(MF[W.u]) == W.profile_u
     assert tuple(MF[W.v]) == W.profile_v
     assert W.profile_u != W.profile_v
+
+
+def test_quotient_witness_is_the_first_mismatch():
+    # degrees 1, 2, 2, 1: vertices 1 and 2 both differ from vertex 0
+    W = quotient_matrix(path_graph(4), Coloring([0, 0, 0, 0]))
+    assert W.evidence == {"witness": {"u": 0, "v": 1, "profile_u": [1], "profile_v": [2]}}
 
 
 def test_quotient_with_loops():
@@ -222,7 +227,7 @@ def test_exhaustive_small_agreement_with_naive_oracle():
 
     for G in graphs_on(4):
         for f in two_colorings(4):
-            assert is_perfect(G, f) == naive_profile_check(G, f)
+            assert bool(quotient_matrix(G, f)) == naive_profile_check(G, f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,7 +238,7 @@ def test_random_multigraph_agreement_with_naive_oracle(seed, n, c):
     colors = rng.integers(0, min(c, n), size=n)
     colors[:min(c, n)] = np.arange(min(c, n))      # make every color appear
     f = Coloring(colors)
-    assert is_perfect(G, f) == naive_profile_check(G, f)
+    assert bool(quotient_matrix(G, f)) == naive_profile_check(G, f)
 
 
 @settings(max_examples=100, deadline=None)
